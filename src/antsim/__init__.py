@@ -6,12 +6,11 @@ algorithms: the ant-based adaptive router plus ospf, spf, bf, qr, pqr and an
 omniscient daemon bound.
 """
 
-from antsim.engine import Simulator, sample_exponential
+from antsim.engine import Simulator
 from antsim.topology import Topology, Link, builtin_topology, topology_stats
 
 __all__ = [
     "Simulator",
-    "sample_exponential",
     "Topology",
     "Link",
     "builtin_topology",

@@ -293,7 +293,11 @@ class AntNetRouting(RoutingAlgorithm):
     def _backward_arrive(self, node: int, packet: Packet) -> None:
         trail: _Trail = packet.payload
         trail.pos -= 1
-        assert trail.stack[trail.pos][0] == node
+        expected = trail.stack[trail.pos][0]
+        if expected != node:
+            raise RuntimeError(
+                f"backward ant arrived at node {node}, but its trail leads to {expected}"
+            )
         self.backward_update(node, trail)
         if trail.pos > 0:
             self.net.send_ant(node, trail.stack[trail.pos - 1][0], packet)

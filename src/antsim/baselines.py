@@ -28,10 +28,25 @@ def _min_hop_next(topo) -> Dict[int, Dict[int, int]]:
     return tables
 
 
-class _LinkStateBase(RoutingAlgorithm):
-    """Common flooding machinery for the link-state protocols."""
+class _PeriodicBroadcast(RoutingAlgorithm):
+    """Every ``broadcast_interval_s`` each node, in id order, broadcasts its
+    routing state to its neighbors; subclasses supply ``_broadcast(node)``."""
 
-    broadcast_interval_s = 30.0
+    def _schedule_broadcast(self) -> None:
+        t = self.net.sim.now + self.broadcast_interval_s
+        self.net.sim.schedule(t, self._broadcast_round)
+
+    def _broadcast_round(self) -> None:
+        for u in self.net.topo.nodes:
+            self._broadcast(u)
+        self._schedule_broadcast()
+
+    def _broadcast(self, node: int) -> None:
+        raise NotImplementedError
+
+
+class _LinkStateBase(_PeriodicBroadcast):
+    """Common flooding machinery for the link-state protocols."""
 
     def attach(self, net) -> None:
         self.net = net
@@ -44,19 +59,10 @@ class _LinkStateBase(RoutingAlgorithm):
         self.fallback = _min_hop_next(topo)
         self._schedule_broadcast()
 
-    def _schedule_broadcast(self) -> None:
-        t = self.net.sim.now + self.broadcast_interval_s
-        self.net.sim.schedule(t, self._broadcast_round)
-
-    def _broadcast_round(self) -> None:
-        for u in self.net.topo.nodes:
-            self._originate(u)
-        self._schedule_broadcast()
-
     def _link_costs(self, node: int) -> Dict[int, float]:
         raise NotImplementedError
 
-    def _originate(self, node: int) -> None:
+    def _broadcast(self, node: int) -> None:
         self.seq[node] += 1
         costs = self._link_costs(node)
         payload = ("lsa", node, self.seq[node], costs)
@@ -122,16 +128,6 @@ class OspfRouting(_LinkStateBase):
             for l in self.net.topo.out_links[node]
         }
 
-    def on_routing_packet(self, node: int, packet: Packet, from_node: int) -> None:
-        tag, origin, seq, costs = packet.payload
-        if seq <= self.lsdb_seen[node].get(origin, 0):
-            return
-        self.lsdb_seen[node][origin] = seq
-        # static protocol: forward the flood, but tables stay as built
-        for link in self.net.topo.out_links[node]:
-            if link.dst != from_node:
-                self.net.send_routing(node, link.dst, packet.size, packet.payload)
-
     def select_next_hop(self, node: int, packet: Packet):
         return self.net.topo.link(node, self.tables[node][packet.dst])
 
@@ -152,7 +148,7 @@ class SpfRouting(_LinkStateBase):
         }
 
 
-class BfRouting(RoutingAlgorithm):
+class BfRouting(_PeriodicBroadcast):
     """Asynchronous distributed distance-vector routing with dynamic costs."""
 
     name = "bf"
@@ -171,21 +167,15 @@ class BfRouting(RoutingAlgorithm):
         self.vector_bits = (DV_BASE_BYTES + DV_BYTES_PER_NODE * topo.n_nodes) * 8
         self._schedule_broadcast()
 
-    def _schedule_broadcast(self) -> None:
-        t = self.net.sim.now + self.broadcast_interval_s
-        self.net.sim.schedule(t, self._broadcast_round)
-
-    def _broadcast_round(self) -> None:
-        for u in self.net.topo.nodes:
-            table = self.cost_tables[u]
-            for link in self.net.topo.out_links[u]:
-                table.link_cost[link.dst] = float(
-                    self.net.port(u, link.dst).monitor.close_window()
-                )
-            vector = table.distance_vector()
-            for link in self.net.topo.out_links[u]:
-                self.net.send_routing(u, link.dst, self.vector_bits, ("dv", u, vector))
-        self._schedule_broadcast()
+    def _broadcast(self, node: int) -> None:
+        table = self.cost_tables[node]
+        for link in self.net.topo.out_links[node]:
+            table.link_cost[link.dst] = float(
+                self.net.port(node, link.dst).monitor.close_window()
+            )
+        vector = table.distance_vector()
+        for link in self.net.topo.out_links[node]:
+            self.net.send_routing(node, link.dst, self.vector_bits, ("dv", node, vector))
 
     def on_routing_packet(self, node: int, packet: Packet, from_node: int) -> None:
         tag, origin, vector = packet.payload

@@ -27,7 +27,18 @@ from antsim.network import Network
 from antsim.topology import builtin_topology, load_topology_file, topology_stats
 from antsim.traffic import TrafficSource, TrafficSpec
 
-ALGORITHMS = ("antnet", "ospf", "spf", "bf", "qr", "pqr", "daemon")
+ALGORITHMS = {
+    cls.name: cls
+    for cls in (
+        AntNetRouting,
+        OspfRouting,
+        SpfRouting,
+        BfRouting,
+        QRouting,
+        PQRouting,
+        DaemonRouting,
+    )
+}
 
 
 class ConfigError(ValueError):
@@ -87,18 +98,9 @@ def resolve_topology(name: str):
 
 
 def build_algorithm(name: str, params: dict):
-    params = dict(params)
     if name == "antnet":
         return AntNetRouting(AntNetParams(**params))
-    cls = {
-        "ospf": OspfRouting,
-        "spf": SpfRouting,
-        "bf": BfRouting,
-        "qr": QRouting,
-        "pqr": PQRouting,
-        "daemon": DaemonRouting,
-    }[name]
-    return cls(**params)
+    return ALGORITHMS[name](**params)
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> Tuple[dict, List[dict]]:
@@ -112,8 +114,6 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> Tuple[dict, List[dict]]:
     net.set_algorithm(algo)
     t_end = cfg.warmup_s + cfg.run_length_s
     TrafficSource(net, cfg.traffic_spec, cfg.warmup_s, t_end).start()
-    sim.run_until(cfg.warmup_s)
-    algo.on_warmup_end(sim.now)
     sim.run_until(t_end)
     summary = metrics.summarize(t_end, net.total_bw_bps)
     summary["trial"] = trial

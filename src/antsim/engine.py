@@ -59,9 +59,3 @@ class Simulator:
             rng = random.Random(f"{self.master_seed}/{name}")
             self._streams[name] = rng
         return rng
-
-
-def sample_exponential(rng: random.Random, mean: float) -> float:
-    if mean <= 0:
-        raise ValueError(f"exponential mean must be positive, got {mean}")
-    return rng.expovariate(1.0 / mean)

@@ -207,12 +207,7 @@ class Network:
 
 
 class Session:
-    """One traffic session: a stream of data packets from src to dst.
-
-    The production window caps unsent packets buffered at the source; a sent
-    packet is considered acknowledged immediately, so a release frees its
-    window slot as soon as the packet enters the source node.
-    """
+    """One traffic session: a stream of data packets from src to dst."""
 
     def __init__(
         self,
@@ -226,7 +221,6 @@ class Session:
         end_time: float,
         size_rng,
         interval_rng=None,
-        window_size: int = 50,
     ):
         self.net = net
         self.src = src
@@ -238,9 +232,6 @@ class Session:
         self.end_time = end_time
         self.size_rng = size_rng
         self.interval_rng = interval_rng if interval_rng is not None else size_rng
-        self.window_size = window_size
-        self.in_flight = 0
-        self.pending = 0
 
     def start(self) -> None:
         self.net.sim.schedule(self.net.sim.now + self._interval(), self._generate)
@@ -263,17 +254,5 @@ class Session:
             if self.packets_remaining <= 0:
                 return
             self.packets_remaining -= 1
-        self.pending += 1
-        self.try_send()
+        self.net.inject_data(self.src, self.dst, self._size())
         self.net.sim.schedule(now + self._interval(), self._generate)
-
-    def try_send(self) -> int:
-        """Release pending packets while the window has room."""
-        released = 0
-        while self.pending > 0 and self.in_flight < self.window_size:
-            self.pending -= 1
-            self.in_flight += 1
-            self.net.inject_data(self.src, self.dst, self._size())
-            self.in_flight -= 1  # sent counts as acknowledged
-            released += 1
-        return released

@@ -1,12 +1,11 @@
 """Shared routing infrastructure: algorithm interface, shortest-path kernels,
-flooding semantics and the adaptive discrete link-cost estimator."""
+distance-vector tables and the adaptive discrete link-cost estimator."""
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 INFINITY = math.inf
 
@@ -24,9 +23,6 @@ class RoutingAlgorithm:
 
     def attach(self, net) -> None:
         self.net = net
-
-    def on_warmup_end(self, now: float) -> None:
-        pass
 
     def select_next_hop(self, node: int, packet):
         raise NotImplementedError
@@ -110,34 +106,6 @@ class CostTable:
 
     def distance_vector(self) -> Dict[int, float]:
         return {d: self.best(d)[0] for d in range(1, self.n_nodes + 1)}
-
-
-def flood_reach(topo, origin: int) -> Tuple[Set[int], int]:
-    """Pure model of constrained flooding with duplicate suppression.
-
-    Each node forwards a first-seen advertisement on all links except the
-    arrival link; duplicates are suppressed on receipt. Returns the set of
-    nodes that received the advertisement and the number of link
-    transmissions performed.
-    """
-    received: Set[int] = set()
-    transmissions = 0
-    queue = deque()
-    received.add(origin)
-    for link in topo.out_links[origin]:
-        queue.append((origin, link.dst))
-        transmissions += 1
-    while queue:
-        sender, node = queue.popleft()
-        if node in received:
-            continue
-        received.add(node)
-        for link in topo.out_links[node]:
-            if link.dst == sender:
-                continue
-            queue.append((node, link.dst))
-            transmissions += 1
-    return received, transmissions
 
 
 class LinkCostEstimator:

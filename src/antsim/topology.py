@@ -53,17 +53,7 @@ class Topology:
         return self.link_map[(src, dst)]
 
     def is_connected(self) -> bool:
-        if self.n_nodes == 0:
-            return False
-        seen = {1}
-        frontier = deque([1])
-        while frontier:
-            u = frontier.popleft()
-            for l in self.out_links[u]:
-                if l.dst not in seen:
-                    seen.add(l.dst)
-                    frontier.append(l.dst)
-        return len(seen) == self.n_nodes
+        return self.n_nodes > 0 and len(self.hop_distances(1)) == self.n_nodes
 
     def hop_distances(self, src: int) -> Dict[int, int]:
         dist = {src: 0}

@@ -10,7 +10,6 @@ from antsim.network import Network, Session
 
 DEFAULT_MEAN_PACKET_BITS = 4096.0
 DEFAULT_PACKETS_PER_SESSION = 50
-DEFAULT_WINDOW = 50
 
 
 @dataclass
@@ -22,7 +21,6 @@ class TrafficSpec:
     mpia_s: float = 0.005
     mean_packet_bits: float = DEFAULT_MEAN_PACKET_BITS
     packets_per_session: int = DEFAULT_PACKETS_PER_SESSION
-    window_size: int = DEFAULT_WINDOW
     hs_count: int = 0
     mpia_hs_s: float = 0.04
     hot_spot_on_s: Optional[float] = None  # offsets from traffic start
@@ -142,7 +140,6 @@ class TrafficSource:
             end_time=min(self.t_end, until) if until is not None else self.t_end,
             size_rng=self.size_rng,
             interval_rng=self.interval_rng,
-            window_size=spec.window_size,
         )
         session.start()
         return session

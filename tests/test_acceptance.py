@@ -14,11 +14,11 @@ from antsim.cli import ExperimentConfig, run_experiment, run_trial, sweep_ant_ra
 from antsim.engine import Simulator
 from antsim.metrics import MetricsCollector
 from antsim.network import DATA, Network, Packet
-from antsim.routing import dijkstra, flood_reach
+from antsim.routing import dijkstra
 from antsim.topology import builtin_topology, topology_stats
 
 from test_baselines import build, trace_path
-from test_routing_core import converge_distance_vectors
+from test_routing_core import converge_distance_vectors, flood_reach
 
 def report(num: int, ok: bool, detail: str) -> bool:
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} — {detail}", flush=True)

@@ -210,6 +210,22 @@ def test_flow_biased_ant_destinations():
     assert picks.count(6) >= 99  # overwhelming flow share wins
 
 
+def test_backward_ant_off_its_trail_raises():
+    sim = Simulator(0)
+    net = Network(sim, builtin_topology("simplenet"), MetricsCollector())
+    algo = AntNetRouting(AntNetParams(launch_interval_s=math.inf))
+    net.set_algorithm(algo)
+    from antsim.network import BACKWARD_ANT, Packet
+
+    trail = _Trail(1)
+    for node, elapsed in ((3, 0.01), (5, 0.02), (6, 0.03)):
+        trail.push(node, elapsed)
+    trail.pos = 3  # at the destination, as _spawn_backward leaves it
+    p = Packet(BACKWARD_ANT, 512, 6, 1, 0.0, payload=trail)
+    with pytest.raises(RuntimeError):
+        algo.on_ant(4, p, 6)  # the trail leads from 6 back to 5, not 4
+
+
 def test_cycle_death_counted():
     # heavy ant traffic on a network with many loops eventually kills some
     sim = Simulator(master_seed=6)

@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from antsim.baselines import (
     BfRouting,
     DaemonRouting,
@@ -12,6 +14,8 @@ from antsim.engine import Simulator
 from antsim.metrics import MetricsCollector
 from antsim.network import DATA, Network, Packet
 from antsim.topology import builtin_topology, from_edge_list
+
+from test_routing_core import flood_reach
 
 
 def build(algo, topo_name="simplenet", seed=0, topo=None):
@@ -64,7 +68,7 @@ def test_ospf_periodic_floods_count_overhead_only():
     assert metrics.routing_bits > 0
     # every node's advertisement reaches every other node once per round:
     # 8 origins x 11 transmissions (sum(deg) - 7 = 18 - 7) x 3 rounds
-    assert metrics.generated_count["routing_info"] > 0
+    assert metrics.generated_count["routing_info"] == 264
 
 
 def test_spf_flood_transmissions_per_round():
@@ -74,6 +78,17 @@ def test_spf_flood_transmissions_per_round():
     # sum of degrees is 18; each of 8 origins floods with deg(o) + sum over
     # others of (deg-1) = 18 - 7 = 11 transmissions
     assert delivered == 8 * 11
+
+
+@pytest.mark.parametrize("topo_name", ["simplenet", "nsfnet", "nttnet"])
+def test_spf_broadcast_round_matches_flood_oracle(topo_name):
+    sim, net, metrics = build(SpfRouting(broadcast_interval_s=10.0), topo_name)
+    sim.run_until(19.0)  # one broadcast round, at t = 10, on an idle net
+    topo = net.topo
+    expected = sum(flood_reach(topo, origin)[1] for origin in topo.nodes)
+    assert metrics.generated_count["routing_info"] == expected
+    every_origin = {origin: 1 for origin in topo.nodes}
+    assert all(net.algorithm.lsdb_seen[u] == every_origin for u in topo.nodes)
 
 
 def test_spf_advertisement_size():

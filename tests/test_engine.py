@@ -1,8 +1,6 @@
-import random
-
 import pytest
 
-from antsim.engine import SchedulingError, Simulator, sample_exponential
+from antsim.engine import SchedulingError, Simulator
 
 
 def test_events_fire_in_time_order():
@@ -89,14 +87,3 @@ def test_consuming_one_stream_does_not_perturb_another():
     assert sim1.stream("session_arrivals").random() == sim2.stream(
         "session_arrivals"
     ).random()
-
-
-def test_sample_exponential_mean_and_errors():
-    rng = random.Random(1)
-    n = 200_000
-    mean = sum(sample_exponential(rng, 2.4) for _ in range(n)) / n
-    assert abs(mean - 2.4) / 2.4 < 0.01
-    with pytest.raises(ValueError):
-        sample_exponential(rng, 0.0)
-    with pytest.raises(ValueError):
-        sample_exponential(rng, -1.0)

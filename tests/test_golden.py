@@ -3,9 +3,8 @@
 Each case runs one trial and hashes the three result files. The digests in
 ``golden_digests.json`` were recorded before the code they guard was
 refactored; a refactor must leave them unchanged. A change that alters
-behaviour on purpose re-records them with ``PYTHONPATH=src python tests/test_golden.py``
-and
-says so in CHANGES.md.
+behaviour on purpose re-records them with
+``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
 """
 
 import hashlib
@@ -45,15 +44,11 @@ def golden_digests(topology: str, algorithm: str, out_dir: str) -> dict:
     return digests
 
 
-def _load_recorded() -> dict:
-    with open(DIGESTS_PATH) as fh:
-        return json.load(fh)
-
-
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 def test_golden_outputs_unchanged(tmp_path, topology, algorithm):
-    recorded = _load_recorded()[f"{topology}/{algorithm}"]
+    with open(DIGESTS_PATH) as fh:
+        recorded = json.load(fh)[f"{topology}/{algorithm}"]
     assert golden_digests(topology, algorithm, str(tmp_path)) == recorded
 
 

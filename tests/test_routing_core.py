@@ -1,10 +1,38 @@
 import math
 import random
+from collections import deque
 
 import pytest
 
-from antsim.routing import INFINITY, CostTable, LinkCostEstimator, dijkstra, flood_reach
+from antsim.routing import INFINITY, CostTable, LinkCostEstimator, dijkstra
 from antsim.topology import builtin_topology, from_edge_list
+
+
+def flood_reach(topo, origin):
+    """Oracle for constrained flooding with duplicate suppression.
+
+    Each node forwards a first-seen advertisement on all links except the
+    arrival link; duplicates are suppressed on receipt. Returns the set of
+    nodes that received the advertisement and the number of link
+    transmissions performed.
+    """
+    received = {origin}
+    transmissions = 0
+    queue = deque()
+    for link in topo.out_links[origin]:
+        queue.append((origin, link.dst))
+        transmissions += 1
+    while queue:
+        sender, node = queue.popleft()
+        if node in received:
+            continue
+        received.add(node)
+        for link in topo.out_links[node]:
+            if link.dst == sender:
+                continue
+            queue.append((node, link.dst))
+            transmissions += 1
+    return received, transmissions
 
 
 def unit_adjacency(topo):
