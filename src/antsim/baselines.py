@@ -4,7 +4,8 @@ omniscient daemon bound."""
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from heapq import heappop, heappush
+from typing import Dict, List, Tuple
 
 from antsim.network import Packet
 from antsim.routing import CostTable, RoutingAlgorithm, dijkstra
@@ -306,26 +307,50 @@ class PQRouting(QRouting):
 
 class DaemonRouting(RoutingAlgorithm):
     """Empirical performance bound: reads every queue in the network at each
-    hop and recomputes a network-wide shortest path for the packet. Generates
-    no routing packets."""
+    hop and routes the packet over a network-wide shortest path. Generates no
+    routing packets.
+
+    A link costs ``prop + bits/bw + (1-mix)*all_bits/bw + mix*s_bar/bw``, where
+    ``all_bits`` is the bits waiting at its port and ``s_bar`` their smoothed
+    value. Each next-hop decision runs one Dijkstra from ``node`` that prices
+    a link only when it relaxes it and stops as soon as ``packet.dst`` is
+    settled; equal-cost ties go to the smallest first-hop id, as in
+    ``routing.dijkstra``. After the search every port's ``s_bar`` advances one
+    step, ``decay*s_bar + (1-decay)*all_bits``. That is once per decision, so
+    the averaging window depends on the packet rate, not on time.
+    """
 
     name = "daemon"
     elab_s = 0.0
 
     def __init__(self, queue_mix: float = 0.4, queue_mean_decay: float = 0.9):
+        for key, value in (("queue_mix", queue_mix), ("queue_mean_decay", queue_mean_decay)):
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{key} must be in [0, 1], got {value!r}")
         self.queue_mix = queue_mix
         self.queue_mean_decay = queue_mean_decay
 
     def attach(self, net) -> None:
         self.net = net
-        self.smoothed_queue: Dict[Tuple[int, int], float] = {
-            key: 0.0 for key in net.ports
-        }
+        self.ports = list(net.ports.values())
+        slot = {port.link: i for i, port in enumerate(self.ports)}
+        # edges[u]: (dst, prop_delay_s, bandwidth_bps, port, index) per
+        # out-link of u, by dst; index is the link's slot in ports and
+        # smoothed_queue. Node ids are 1..n, so edges[0] stays empty.
+        self.edges: List[Tuple] = [()] + [
+            tuple(
+                (l.dst, l.prop_delay_s, l.bandwidth_bps, self.ports[slot[l]], slot[l])
+                for l in net.topo.out_links[u]
+            )
+            for u in net.topo.nodes
+        ]
+        self.smoothed_queue: List[float] = [0.0] * len(self.ports)
 
     def link_cost(self, link, packet_bits: float) -> float:
+        """Cost of one link, as ``select_next_hop`` prices it inline."""
         port = self.net.port(link.src, link.dst)
         s_q = port.all_bits
-        s_bar = self.smoothed_queue[(link.src, link.dst)]
+        s_bar = self.smoothed_queue[self.ports.index(port)]
         return (
             link.prop_delay_s
             + packet_bits / link.bandwidth_bps
@@ -334,15 +359,30 @@ class DaemonRouting(RoutingAlgorithm):
         )
 
     def select_next_hop(self, node: int, packet: Packet):
-        topo = self.net.topo
-        adjacency = {
-            u: [(l.dst, self.link_cost(l, packet.size)) for l in topo.out_links[u]]
-            for u in topo.nodes
-        }
-        _, hop = dijkstra(topo.n_nodes, adjacency, node)
+        bits = packet.size
+        dst = packet.dst
+        mix = self.queue_mix
+        rest = 1.0 - mix
+        edges = self.edges
+        smoothed = self.smoothed_queue
+        settled = [False] * len(edges)
+        heap = [(0.0, 0, node)]  # (distance, first hop, node); 0 marks the source
+        while heap:
+            d, first, u = heappop(heap)
+            if settled[u]:
+                continue
+            if u == dst:
+                break
+            settled[u] = True
+            for v, prop, bw, port, i in edges[u]:
+                cost = prop + bits / bw + rest * port.all_bits / bw + mix * smoothed[i] / bw
+                if cost <= 0:
+                    raise ValueError(f"nonpositive cost on link {u}->{v}")
+                if not settled[v]:
+                    heappush(heap, (d + cost, first or v, v))
         decay = self.queue_mean_decay
-        for key, port in self.net.ports.items():
-            self.smoothed_queue[key] = (
-                decay * self.smoothed_queue[key] + (1.0 - decay) * port.all_bits
-            )
-        return topo.link(node, hop[packet.dst])
+        keep = 1.0 - decay
+        self.smoothed_queue = [
+            decay * s + keep * port.all_bits for s, port in zip(smoothed, self.ports)
+        ]
+        return self.net.topo.link(node, first)

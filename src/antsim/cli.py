@@ -75,6 +75,10 @@ class ExperimentConfig:
             raise ConfigError(f"traffic: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"traffic: {exc}") from exc
+        try:
+            build_algorithm(self.algorithm, self.algorithm_params)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"algorithm_params: {exc}") from exc
 
 
 def load_config(path: str, **overrides) -> ExperimentConfig:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from antsim.baselines import (
 from antsim.engine import Simulator
 from antsim.metrics import MetricsCollector
 from antsim.network import DATA, Network, Packet
+from antsim.routing import dijkstra
 from antsim.topology import builtin_topology, from_edge_list
 
 from test_routing_core import flood_reach
@@ -228,16 +230,86 @@ def test_pqr_recovery_rate_stays_nonpositive():
 # -- omniscient bound --------------------------------------------------------
 
 
+def daemon_reference(algo, node, packet):
+    """Oracle for one daemon next-hop decision, computed the long way: the
+    ``link_cost`` of every link into a full adjacency, ``routing.dijkstra``
+    from ``node``, then one smoothing step of every port's queue. Returns
+    the chosen link and the smoothed queues the decision should leave,
+    without changing ``algo``."""
+    net = algo.net
+    topo = net.topo
+    adjacency = {
+        u: [(l.dst, algo.link_cost(l, packet.size)) for l in topo.out_links[u]]
+        for u in topo.nodes
+    }
+    _, hop = dijkstra(topo.n_nodes, adjacency, node)
+    decay = algo.queue_mean_decay
+    smoothed = [
+        decay * s_bar + (1.0 - decay) * port.all_bits
+        for s_bar, port in zip(algo.smoothed_queue, net.ports.values())
+    ]
+    return topo.link(node, hop[packet.dst]), smoothed
+
+
 def test_daemon_cost_oracle():
     topo = from_edge_list(2, [(1, 2)], 1.5e6, 0.001)
     sim, net, _ = build(DaemonRouting(), topo=topo)
     algo = net.algorithm
     port = net.port(1, 2)
     port.all_bits = 8192.0
-    algo.smoothed_queue[(1, 2)] = 4096.0
+    ((dst, _, _, edge_port, index),) = algo.edges[1]
+    assert dst == 2 and edge_port is port
+    algo.smoothed_queue[index] = 4096.0
     cost = algo.link_cost(topo.link(1, 2), 4096.0)
     expected = 0.001 + 4096 / 1.5e6 + 0.6 * 8192 / 1.5e6 + 0.4 * 4096 / 1.5e6
     assert abs(cost - expected) < 1e-12
+
+
+@pytest.mark.parametrize("params", [(0.4, 0.9), (1.0, 0.0), (0.0, 0.5)])
+@pytest.mark.parametrize("topo_name", ["simplenet", "nsfnet", "nttnet"])
+def test_daemon_fast_path_matches_reference(topo_name, params):
+    mix, decay = params
+    _, net, _ = build(DaemonRouting(queue_mix=mix, queue_mean_decay=decay), topo_name)
+    algo = net.algorithm
+    topo = net.topo
+    hops = {u: topo.hop_distances(u) for u in topo.nodes}
+    rng = random.Random(f"{topo_name}{params}")
+    ties = 0
+    for draw in range(300):
+        idle = draw % 4 == 0  # all-zero queues: equal-cost paths tie
+        for port in net.ports.values():
+            if idle or rng.random() < 0.3:
+                port.all_bits = 0.0
+            else:
+                port.all_bits = rng.choice((4096.0, rng.uniform(0.0, 2e5)))
+        if idle or rng.random() < 0.2:  # otherwise carry over the last call's
+            algo.smoothed_queue = [0.0 if idle else rng.uniform(0.0, 1e5) for _ in net.ports]
+        node, dst = rng.sample(topo.nodes, 2)
+        packet = Packet(DATA, rng.choice((4096.0, rng.uniform(64.0, 1e5))), node, dst, 0.0)
+        if idle:
+            closer = [n for n in topo.neighbors(node) if hops[n][dst] < hops[node][dst]]
+            ties += len(closer) > 1
+        link, smoothed = daemon_reference(algo, node, packet)
+        assert algo.select_next_hop(node, packet) is link
+        assert [x.hex() for x in algo.smoothed_queue] == [x.hex() for x in smoothed]
+    if topo_name == "simplenet":  # uniform links: min-hop ties are cost ties
+        assert ties > 0
+
+
+def test_daemon_rejects_nonpositive_cost():
+    sim, net, _ = build(DaemonRouting())
+    net.port(1, 2).all_bits = -1e12
+    with pytest.raises(ValueError, match="nonpositive cost on link 1->2"):
+        net.algorithm.select_next_hop(1, Packet(DATA, 4096, 1, 6, 0.0))
+
+
+@pytest.mark.parametrize("key", ["queue_mix", "queue_mean_decay"])
+def test_daemon_params_must_lie_in_unit_interval(key):
+    for bad in (3.0, -2, 1.0 + 1e-9, math.nan):
+        with pytest.raises(ValueError, match=key):
+            DaemonRouting(**{key: bad})
+    for ok in (0.0, 1.0):
+        DaemonRouting(**{key: ok})
 
 
 def test_daemon_emits_no_routing_packets():

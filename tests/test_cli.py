@@ -51,6 +51,17 @@ def test_config_validation_names_offending_key():
         small_config(traffic={"temporal": "X"})
 
 
+@pytest.mark.parametrize("algorithm", ["daemon", "antnet"])
+def test_unknown_algorithm_param_is_a_config_error(algorithm):
+    with pytest.raises(ConfigError, match="algorithm_params.*bogus"):
+        small_config(algorithm=algorithm, algorithm_params={"bogus": 1})
+
+
+def test_out_of_range_algorithm_param_is_a_config_error():
+    with pytest.raises(ConfigError, match="algorithm_params.*queue_mix"):
+        small_config(algorithm="daemon", algorithm_params={"queue_mix": 3.0})
+
+
 def test_load_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"topology": "simplenet", "algorithm": "spf",
