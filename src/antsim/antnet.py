@@ -28,6 +28,8 @@ class AntNetParams:
     data_power_exponent: float = 1.2
 
     def __post_init__(self):
+        if not self.launch_interval_s > 0:  # math.inf switches ants off
+            raise ValueError(f"launch_interval_s must be > 0, got {self.launch_interval_s!r}")
         if abs(self.reward_w1 + self.reward_w2 - 1.0) > 1e-12:
             raise ValueError("reward weights must sum to 1")
         if not 0.0 < self.window_fraction < 1.0:
@@ -335,7 +337,7 @@ class AntNetRouting(RoutingAlgorithm):
 
     # -- data forwarding -----------------------------------------------------
 
-    def select_next_hop(self, node: int, packet: Packet):
+    def select_next_hop(self, node: int, packet: Packet) -> int:
         nbrs = self.neighbors[node]
         if packet.prev_node is not None and len(nbrs) >= 2:
             candidates = [n for n in nbrs if n != packet.prev_node]
@@ -347,7 +349,5 @@ class AntNetRouting(RoutingAlgorithm):
         weights = [row[idx[n]] ** exp for n in candidates]
         total = sum(weights)
         if total <= 0:
-            chosen = self.data_rng.choice(candidates)
-        else:
-            chosen = self._weighted_pick(self.data_rng, candidates, weights, total)
-        return self.net.topo.link(node, chosen)
+            return self.data_rng.choice(candidates)
+        return self._weighted_pick(self.data_rng, candidates, weights, total)

@@ -33,6 +33,11 @@ class _PeriodicBroadcast(RoutingAlgorithm):
     """Every ``broadcast_interval_s`` each node, in id order, broadcasts its
     routing state to its neighbors; subclasses supply ``_broadcast(node)``."""
 
+    def __init__(self, broadcast_interval_s: float = 0.8):
+        if not broadcast_interval_s > 0:
+            raise ValueError(f"broadcast_interval_s must be > 0, got {broadcast_interval_s!r}")
+        self.broadcast_interval_s = broadcast_interval_s
+
     def _schedule_broadcast(self) -> None:
         t = self.net.sim.now + self.broadcast_interval_s
         self.net.sim.schedule(t, self._broadcast_round)
@@ -94,11 +99,10 @@ class _LinkStateBase(_PeriodicBroadcast):
         self.tables[node] = {d: h for d, h in hop.items() if h is not None}
         self.dirty[node] = False
 
-    def select_next_hop(self, node: int, packet: Packet):
+    def select_next_hop(self, node: int, packet: Packet) -> int:
         if self.dirty[node]:
             self._recompute(node)
-        nxt = self.tables[node].get(packet.dst) or self.fallback[node].get(packet.dst)
-        return self.net.topo.link(node, nxt)
+        return self.tables[node].get(packet.dst) or self.fallback[node].get(packet.dst)
 
 
 class OspfRouting(_LinkStateBase):
@@ -110,18 +114,15 @@ class OspfRouting(_LinkStateBase):
     elab_s = 0.006
 
     def __init__(self, broadcast_interval_s: float = 30.0):
-        self.broadcast_interval_s = broadcast_interval_s
+        super().__init__(broadcast_interval_s)
 
     def attach(self, net) -> None:
         super().attach(net)
-        for u in net.topo.nodes:
-            self._install(u, u, 0, self._link_costs(u))
         # every node knows the static map up front
         for u in net.topo.nodes:
             for v in net.topo.nodes:
                 self.lsdb[u][v] = self._link_costs(v)
             self._recompute(u)
-            self.dirty[u] = False
 
     def _link_costs(self, node: int) -> Dict[int, float]:
         return {
@@ -129,8 +130,8 @@ class OspfRouting(_LinkStateBase):
             for l in self.net.topo.out_links[node]
         }
 
-    def select_next_hop(self, node: int, packet: Packet):
-        return self.net.topo.link(node, self.tables[node][packet.dst])
+    def select_next_hop(self, node: int, packet: Packet) -> int:
+        return self.tables[node][packet.dst]
 
 
 class SpfRouting(_LinkStateBase):
@@ -138,9 +139,6 @@ class SpfRouting(_LinkStateBase):
 
     name = "spf"
     elab_s = 0.006
-
-    def __init__(self, broadcast_interval_s: float = 0.8):
-        self.broadcast_interval_s = broadcast_interval_s
 
     def _link_costs(self, node: int) -> Dict[int, float]:
         return {
@@ -154,9 +152,6 @@ class BfRouting(_PeriodicBroadcast):
 
     name = "bf"
     elab_s = 0.002
-
-    def __init__(self, broadcast_interval_s: float = 0.8):
-        self.broadcast_interval_s = broadcast_interval_s
 
     def attach(self, net) -> None:
         self.net = net
@@ -182,17 +177,18 @@ class BfRouting(_PeriodicBroadcast):
         tag, origin, vector = packet.payload
         self.cost_tables[node].merge(origin, vector)
 
-    def select_next_hop(self, node: int, packet: Packet):
+    def select_next_hop(self, node: int, packet: Packet) -> int:
         _, nxt = self.cost_tables[node].best(packet.dst)
         if nxt is None:
-            nxt = self.fallback[node][packet.dst]
-        return self.net.topo.link(node, nxt)
+            return self.fallback[node][packet.dst]
+        return nxt
 
 
 class QRouting(RoutingAlgorithm):
     """Online asynchronous distance-vector learner: per-hop feedback packets
     carry the downstream time-to-go estimate; forwarding is a deterministic
-    arg min over the learned per-neighbor estimates."""
+    arg min over the learned per-neighbor estimates. Feedback goes back for
+    every arriving data packet, even one the network then drops for TTL."""
 
     name = "qr"
     elab_s = 0.003
@@ -222,10 +218,9 @@ class QRouting(RoutingAlgorithm):
             return 0.0
         return min(self.q[node][dst].values())
 
-    def select_next_hop(self, node: int, packet: Packet):
+    def select_next_hop(self, node: int, packet: Packet) -> int:
         entry = self.q[node][packet.dst]
-        best = min(entry.items(), key=lambda kv: (kv[1], kv[0]))
-        return self.net.topo.link(node, best[0])
+        return min(entry.items(), key=lambda kv: (kv[1], kv[0]))[0]
 
     def on_data_arrival(self, node: int, packet: Packet, from_node: int) -> None:
         link = self.net.topo.link(from_node, node)
@@ -279,13 +274,10 @@ class PQRouting(QRouting):
         idle = now - self.last_update[key]
         return max(self.best[key], self.q[node][dst][via] + self.recovery[key] * idle)
 
-    def select_next_hop(self, node: int, packet: Packet):
+    def select_next_hop(self, node: int, packet: Packet) -> int:
         now = self.net.sim.now
         entry = self.q[node][packet.dst]
-        best = min(
-            entry, key=lambda n: (self.predicted(node, packet.dst, n, now), n)
-        )
-        return self.net.topo.link(node, best)
+        return min(entry, key=lambda n: (self.predicted(node, packet.dst, n, now), n))
 
     def _apply_feedback(self, node: int, dst: int, via: int, q_new: float) -> None:
         key = (node, dst, via)
@@ -358,7 +350,7 @@ class DaemonRouting(RoutingAlgorithm):
             + self.queue_mix * s_bar / link.bandwidth_bps
         )
 
-    def select_next_hop(self, node: int, packet: Packet):
+    def select_next_hop(self, node: int, packet: Packet) -> int:
         bits = packet.size
         dst = packet.dst
         mix = self.queue_mix
@@ -385,4 +377,4 @@ class DaemonRouting(RoutingAlgorithm):
         self.smoothed_queue = [
             decay * s + keep * port.all_bits for s, port in zip(smoothed, self.ports)
         ]
-        return self.net.topo.link(node, first)
+        return first

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from antsim.antnet import AntNetParams, AntNetRouting
@@ -61,9 +60,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm: unknown value {self.algorithm!r}")
-        if self.warmup_s < 0:
+        if not self.warmup_s >= 0:
             raise ConfigError("warmup_s: must be >= 0")
-        if self.run_length_s <= 0:
+        if not self.run_length_s > 0:
             raise ConfigError("run_length_s: must be > 0")
         if self.trials < 1:
             raise ConfigError("trials: must be >= 1")
@@ -71,9 +70,7 @@ class ExperimentConfig:
             self.label = self.algorithm
         try:
             self.traffic_spec = TrafficSpec(**self.traffic)
-        except TypeError as exc:
-            raise ConfigError(f"traffic: {exc}") from exc
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"traffic: {exc}") from exc
         try:
             build_algorithm(self.algorithm, self.algorithm_params)
@@ -187,11 +184,13 @@ def sweep_ant_rate(cfg: ExperimentConfig, rates: List[float], write: bool = True
     """Power-vs-overhead table over ant launch intervals (antnet only)."""
     if cfg.algorithm != "antnet":
         raise ConfigError("algorithm: sweep-rate requires antnet")
+    params = cfg.algorithm_params
+    points = [
+        replace(cfg, algorithm_params=dict(params, launch_interval_s=r), label=f"rate_{r:g}")
+        for r in rates
+    ]
     rows = []
-    for rate in rates:
-        sub = copy.deepcopy(cfg)
-        sub.algorithm_params = dict(sub.algorithm_params, launch_interval_s=rate)
-        sub.label = f"rate_{rate:g}"
+    for rate, sub in zip(rates, points):
         agg = run_experiment(sub, write=write)
         rows.append(
             {"launch_interval_s": rate, "overhead": agg["overhead"], "power": agg["power"]}
@@ -208,12 +207,12 @@ def sweep_ant_rate(cfg: ExperimentConfig, rates: List[float], write: bool = True
 
 def sweep_load(cfg: ExperimentConfig, msia_list: List[float], write: bool = True) -> List[dict]:
     """One aggregate per session inter-arrival load point."""
+    points = [
+        replace(cfg, traffic=dict(cfg.traffic, msia_s=msia), label=f"{cfg.label}_msia_{msia:g}")
+        for msia in msia_list
+    ]
     rows = []
-    for msia in msia_list:
-        sub = copy.deepcopy(cfg)
-        sub.traffic = dict(sub.traffic, msia_s=msia)
-        sub.traffic_spec = TrafficSpec(**sub.traffic)
-        sub.label = f"{cfg.label}_msia_{msia:g}"
+    for msia, sub in zip(msia_list, points):
         agg = run_experiment(sub, write=write)
         agg["msia_s"] = msia
         rows.append(agg)

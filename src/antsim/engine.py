@@ -26,7 +26,7 @@ class Simulator:
         self._streams: Dict[str, random.Random] = {}
 
     def schedule(self, fire_time: float, action: Callable[[], None]) -> None:
-        if fire_time < self.now:
+        if not fire_time >= self.now:  # also rejects NaN
             raise SchedulingError(
                 f"event scheduled at t={fire_time} but clock is at t={self.now}"
             )
@@ -34,7 +34,7 @@ class Simulator:
         heapq.heappush(self._queue, (fire_time, self._seq, action))
 
     def run_until(self, t_end: float) -> int:
-        if t_end < self.now:
+        if not t_end >= self.now:
             raise SchedulingError(f"run_until({t_end}) but clock is at t={self.now}")
         processed = 0
         queue = self._queue

@@ -202,8 +202,8 @@ class Network:
         if self.sim.now - packet.created_at > packet.ttl:
             self.metrics.on_dropped("ttl", packet.kind)
             return
-        link = self.algorithm.select_next_hop(node, packet)
-        self.enqueue_for_link(node, self.port(link.src, link.dst), packet, high=False)
+        nxt = self.algorithm.select_next_hop(node, packet)
+        self.enqueue_for_link(node, self.port(node, nxt), packet, high=False)
 
 
 class Session:

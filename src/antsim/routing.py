@@ -24,7 +24,9 @@ class RoutingAlgorithm:
     def attach(self, net) -> None:
         self.net = net
 
-    def select_next_hop(self, node: int, packet):
+    def select_next_hop(self, node: int, packet) -> int:
+        """Id of the neighbor of ``node`` to send ``packet`` to; the network
+        maps it to that link's port (``KeyError`` for a non-neighbor)."""
         raise NotImplementedError
 
     def on_routing_packet(self, node: int, packet, from_node: int) -> None:

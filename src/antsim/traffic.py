@@ -29,7 +29,7 @@ class TrafficSpec:
     hot_spot_nodes: Optional[List[int]] = None
 
     def __post_init__(self):
-        if self.msia_s <= 0 or self.mpia_s <= 0 or self.mpia_hs_s <= 0:
+        if not (self.msia_s > 0 and self.mpia_s > 0 and self.mpia_hs_s > 0):
             raise ValueError("mean inter-arrival times must be positive")
         if self.temporal not in ("P", "F", "TMPHS"):
             raise ValueError(f"unknown temporal model {self.temporal!r}")

@@ -195,8 +195,7 @@ def test_data_forwarding_avoids_arrival_link():
     p = Packet(DATA, 4096, 5, 6, 0.0)
     p.prev_node = 6  # arrived from 6; node 5's other neighbors are 3, 4
     for _ in range(200):
-        link = algo.select_next_hop(5, p)
-        assert link.src == 5 and link.dst in (3, 4)
+        assert algo.select_next_hop(5, p) in (3, 4)
 
 
 def test_flow_biased_ant_destinations():

@@ -32,9 +32,7 @@ def trace_path(algo, src, dst, limit=12):
     p = Packet(DATA, 4096, src, dst, algo.net.sim.now)
     node, hops = src, []
     while node != dst and len(hops) < limit:
-        link = algo.select_next_hop(node, p)
-        p.prev_node = node
-        node = link.dst
+        p.prev_node, node = node, algo.select_next_hop(node, p)
         hops.append(node)
     return hops
 
@@ -186,7 +184,7 @@ def test_qr_selection_is_argmin():
     algo = net.algorithm
     algo.q[1][6] = {2: 5.0, 3: 1.0, 8: 2.0}
     p = Packet(DATA, 4096, 1, 6, 0.0)
-    assert algo.select_next_hop(1, p).dst == 3
+    assert algo.select_next_hop(1, p) == 3
 
 
 def test_pqr_with_zero_recovery_matches_qr_argmin():
@@ -197,7 +195,7 @@ def test_pqr_with_zero_recovery_matches_qr_argmin():
         algo.best[(1, 6, n)] = algo.q[1][6][n]
         algo.recovery[(1, 6, n)] = 0.0
     p = Packet(DATA, 4096, 1, 6, 0.0)
-    assert algo.select_next_hop(1, p).dst == 3
+    assert algo.select_next_hop(1, p) == 3
 
 
 def test_pqr_recovery_lets_stale_entry_be_probed():
@@ -215,7 +213,7 @@ def test_pqr_recovery_lets_stale_entry_be_probed():
     sim.run_until(21.0)
     p = Packet(DATA, 4096, 1, 6, sim.now)
     # predicted for 3: max(0.5, 2.0 - 0.01*20) = 1.8 < 1.9
-    assert algo.select_next_hop(1, p).dst == 3
+    assert algo.select_next_hop(1, p) == 3
 
 
 def test_pqr_recovery_rate_stays_nonpositive():
@@ -234,7 +232,7 @@ def daemon_reference(algo, node, packet):
     """Oracle for one daemon next-hop decision, computed the long way: the
     ``link_cost`` of every link into a full adjacency, ``routing.dijkstra``
     from ``node``, then one smoothing step of every port's queue. Returns
-    the chosen link and the smoothed queues the decision should leave,
+    the first hop and the smoothed queues the decision should leave,
     without changing ``algo``."""
     net = algo.net
     topo = net.topo
@@ -248,7 +246,7 @@ def daemon_reference(algo, node, packet):
         decay * s_bar + (1.0 - decay) * port.all_bits
         for s_bar, port in zip(algo.smoothed_queue, net.ports.values())
     ]
-    return topo.link(node, hop[packet.dst]), smoothed
+    return hop[packet.dst], smoothed
 
 
 def test_daemon_cost_oracle():
@@ -289,8 +287,8 @@ def test_daemon_fast_path_matches_reference(topo_name, params):
         if idle:
             closer = [n for n in topo.neighbors(node) if hops[n][dst] < hops[node][dst]]
             ties += len(closer) > 1
-        link, smoothed = daemon_reference(algo, node, packet)
-        assert algo.select_next_hop(node, packet) is link
+        nxt, smoothed = daemon_reference(algo, node, packet)
+        assert algo.select_next_hop(node, packet) == nxt
         assert [x.hex() for x in algo.smoothed_queue] == [x.hex() for x in smoothed]
     if topo_name == "simplenet":  # uniform links: min-hop ties are cost ties
         assert ties > 0
@@ -328,7 +326,7 @@ def test_daemon_routes_around_congestion():
     # load the queue on the 1->3 entry of the shortest path heavily
     net.port(1, 3).all_bits = 5e6
     p = Packet(DATA, 4096, 1, 6, 0.0)
-    assert algo.select_next_hop(1, p).dst == 8
+    assert algo.select_next_hop(1, p) == 8
 
 
 def test_all_baselines_deliver_on_light_uniform_traffic():

@@ -1,9 +1,10 @@
-import copy
 import json
+import math
 import os
 
 import pytest
 
+from antsim import cli
 from antsim.cli import (
     ConfigError,
     ExperimentConfig,
@@ -49,6 +50,13 @@ def test_config_validation_names_offending_key():
         small_config(warmup_s=-1.0)
     with pytest.raises(ConfigError, match="traffic"):
         small_config(traffic={"temporal": "X"})
+    # NaN fails every comparison, so it must not slip past a range check
+    with pytest.raises(ConfigError, match="warmup_s"):
+        small_config(warmup_s=math.nan)
+    with pytest.raises(ConfigError, match="run_length_s"):
+        small_config(run_length_s=math.nan)
+    with pytest.raises(ConfigError, match="traffic"):
+        small_config(traffic=dict(SMALL_TRAFFIC, msia_s=math.nan))
 
 
 @pytest.mark.parametrize("algorithm", ["daemon", "antnet"])
@@ -60,6 +68,21 @@ def test_unknown_algorithm_param_is_a_config_error(algorithm):
 def test_out_of_range_algorithm_param_is_a_config_error():
     with pytest.raises(ConfigError, match="algorithm_params.*queue_mix"):
         small_config(algorithm="daemon", algorithm_params={"queue_mix": 3.0})
+
+
+@pytest.mark.parametrize(
+    "algorithm, key",
+    [
+        ("antnet", "launch_interval_s"),
+        ("ospf", "broadcast_interval_s"),
+        ("spf", "broadcast_interval_s"),
+        ("bf", "broadcast_interval_s"),
+    ],
+)
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_nonpositive_interval_is_a_config_error(algorithm, key, bad):
+    with pytest.raises(ConfigError, match=f"algorithm_params.*{key}"):
+        small_config(algorithm=algorithm, algorithm_params={key: bad})
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -121,8 +144,6 @@ def test_aggregate_throughput_is_mean_of_trials():
     cfg = small_config(trials=3)
     summaries = [run_trial(cfg, i)[0] for i in range(3)]
     agg = aggregate_summaries(summaries)
-    import math
-
     expected = math.fsum(s["throughput_bps"] for s in summaries) / 3
     assert agg["throughput_bps"] == expected
     assert agg["trials"] == 3
@@ -139,6 +160,28 @@ def test_workload_identical_across_algorithms():
 def test_sweep_rate_requires_antnet():
     with pytest.raises(ConfigError):
         sweep_ant_rate(small_config(algorithm="spf"), [0.3], write=False)
+
+
+def test_sweeps_validate_every_point_before_the_first_trial(monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "run_trial", lambda cfg, trial: ran.append(cfg))
+    with pytest.raises(ConfigError, match="launch_interval_s"):
+        sweep_ant_rate(small_config(), [0.3, 0.0], write=False)
+    with pytest.raises(ConfigError, match="traffic"):
+        sweep_load(small_config(), [2.0, math.nan], write=False)
+    assert ran == []
+
+
+def test_main_sweep_rate_rejects_zero_rate(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "run_trial", lambda cfg, trial: ran.append(cfg))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"topology": "simplenet", "algorithm": "antnet",
+                                "traffic": SMALL_TRAFFIC, "trials": 1}))
+    out = tmp_path / "res"
+    assert main(["sweep-rate", str(path), "--out", str(out), "--rates", "0"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert ran == [] and not out.exists()
 
 
 def test_sweep_rate_single_point_normalizes_to_one():

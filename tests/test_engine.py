@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from antsim.engine import SchedulingError, Simulator
@@ -31,6 +33,20 @@ def test_scheduling_in_the_past_raises():
         sim.schedule(4.0, lambda: None)
     with pytest.raises(SchedulingError):
         sim.run_until(4.0)
+
+
+def test_nan_times_are_rejected():
+    sim = Simulator()
+    with pytest.raises(SchedulingError):
+        sim.schedule(math.nan, lambda: None)
+    fired = []
+    sim.schedule(1.0, lambda: fired.append(sim.now))
+    with pytest.raises(SchedulingError):
+        sim.run_until(math.nan)
+    assert sim.now == 0.0
+    # no NaN event sits at the heap root, so the later event still runs
+    assert sim.run_until(5.0) == 1
+    assert fired == [1.0]
 
 
 def test_run_until_returns_processed_count():

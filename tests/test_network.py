@@ -19,7 +19,7 @@ class FixedNextHop(RoutingAlgorithm):
     name = "fixed"
 
     def select_next_hop(self, node, packet):
-        return self.net.topo.out_links[node][0]
+        return self.net.topo.neighbors(node)[0]
 
 
 def two_node_net(bandwidth=1.5e6, delay=0.004, **kwargs):
@@ -79,6 +79,23 @@ def test_high_priority_departs_before_queued_data():
     sim.run_until(1.0)
     kinds = [k for k, _ in order]
     assert kinds == ["data", "routing", "data"]
+
+
+def test_dispatch_to_a_non_neighbor_raises_and_charges_no_buffer():
+    sim = Simulator()
+    topo = from_edge_list(3, [(1, 2), (2, 3)], 1.5e6, 0.004)
+    net = Network(sim, topo, MetricsCollector())
+
+    class NonNeighbor(RoutingAlgorithm):
+        def select_next_hop(self, node, packet):
+            return 3  # node 1's only neighbor is 2
+
+    net.set_algorithm(NonNeighbor())
+    before = dict(net.buffer_used)
+    with pytest.raises(KeyError):
+        net.dispatch(1, Packet(DATA, 4096, 1, 3, 0.0))
+    assert net.buffer_used == before
+    assert not any(port.busy or port.lo for port in net.ports.values())
 
 
 def test_buffer_exhaustion_drops():

@@ -14,7 +14,7 @@ class Sink(RoutingAlgorithm):
     name = "sink"
 
     def select_next_hop(self, node, packet):
-        return self.net.topo.out_links[node][0]
+        return self.net.topo.neighbors(node)[0]
 
 
 def make_net(seed=0, topo_name="simplenet"):
