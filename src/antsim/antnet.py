@@ -5,8 +5,7 @@ and probabilistic data forwarding."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from antsim.network import BACKWARD_ANT, FORWARD_ANT, Packet
 from antsim.routing import RoutingAlgorithm
@@ -15,31 +14,15 @@ ANT_BASE_BYTES = 24
 ANT_BYTES_PER_HOP = 8
 
 
-@dataclass
-class AntNetParams:
-    launch_interval_s: float = 0.3
-    heuristic_weight: float = 0.3  # queue-state correction weight, sane in 0.2-0.5
-    model_decay: float = 0.005  # eta of the exponential trip-time model
-    window_fraction: float = 0.3  # c: short-term window as a fraction of 5/eta
-    confidence_z: float = 1.70  # z = 1/sqrt(1-gamma), ~0.95 confidence
-    reward_w1: float = 0.7
-    reward_w2: float = 0.3
-    squash_gain: float = 10.0
-    data_power_exponent: float = 1.2
-
-    def __post_init__(self):
-        if not self.launch_interval_s > 0:  # math.inf switches ants off
-            raise ValueError(f"launch_interval_s must be > 0, got {self.launch_interval_s!r}")
-        if abs(self.reward_w1 + self.reward_w2 - 1.0) > 1e-12:
-            raise ValueError("reward weights must sum to 1")
-        if not 0.0 < self.window_fraction < 1.0:
-            raise ValueError("window_fraction must be in (0, 1)")
-        if self.model_decay <= 0 or self.squash_gain <= 0:
-            raise ValueError("model_decay and squash_gain must be positive")
-
-    @property
-    def window_max(self) -> int:
-        return round(5.0 * self.window_fraction / self.model_decay)
+# The paper's fixed AntNet constants.
+HEURISTIC_WEIGHT = 0.3  # alpha: queue-state correction weight, sane in 0.2-0.5
+MODEL_DECAY = 0.005  # eta of the exponential trip-time model
+WINDOW_MAX = round(5.0 * 0.3 / MODEL_DECAY)  # short-term window: c = 0.3 of 5/eta
+CONFIDENCE_Z = 1.70  # z = 1/sqrt(1-gamma), ~0.95 confidence
+REWARD_W1 = 0.7
+REWARD_W2 = 0.3
+SQUASH_GAIN = 10.0
+DATA_POWER_EXPONENT = 1.2
 
 
 class TripModel:
@@ -66,30 +49,31 @@ class TripModel:
             if trip < self.w_best:
                 self.w_best = trip
 
+    def upper_bound(self) -> float:
+        """Upper end of the confidence interval around the mean trip time."""
+        return self.mu + CONFIDENCE_Z * math.sqrt(self.var) / math.sqrt(self.w_count)
 
-def score_trip(trip: float, model: TripModel, n_neighbors: int, params: AntNetParams) -> float:
+
+def score_trip(trip: float, model: TripModel, n_neighbors: int) -> float:
     """Reinforcement in (0, 1] for an observed trip time, squashed so that
     good (small) times are sharply rewarded and poor ones saturate low."""
     if trip <= 0:
         raise ValueError("trip time must be positive")
     i_inf = model.w_best
-    i_sup = model.mu + params.confidence_z * math.sqrt(model.var) / math.sqrt(model.w_count)
-    width = i_sup - i_inf
+    width = model.upper_bound() - i_inf
     if trip <= i_inf:
         second = 1.0  # at least as good as the window best
     elif width > 0:
         second = width / (width + (trip - i_inf))
     else:
         second = 0.0
-    raw = params.reward_w1 * (model.w_best / trip) + params.reward_w2 * second
+    raw = REWARD_W1 * (model.w_best / trip) + REWARD_W2 * second
     raw = min(max(raw, 1e-12), 1.0)
-    return _squash(raw, n_neighbors, params.squash_gain) / _squash(
-        1.0, n_neighbors, params.squash_gain
-    )
+    return _squash(raw, n_neighbors) / _squash(1.0, n_neighbors)
 
 
-def _squash(x: float, n_neighbors: int, gain: float) -> float:
-    exponent = min(gain / (x * n_neighbors), 700.0)
+def _squash(x: float, n_neighbors: int) -> float:
+    exponent = min(SQUASH_GAIN / (x * n_neighbors), 700.0)
     return 1.0 / (1.0 + math.exp(exponent))
 
 
@@ -147,8 +131,10 @@ class AntNetRouting(RoutingAlgorithm):
     name = "antnet"
     elab_s = 0.003
 
-    def __init__(self, params: Optional[AntNetParams] = None):
-        self.params = params or AntNetParams()
+    def __init__(self, launch_interval_s: float = 0.3):
+        if not launch_interval_s > 0:  # math.inf switches ants off
+            raise ValueError(f"launch_interval_s must be > 0, got {launch_interval_s!r}")
+        self.launch_interval_s = launch_interval_s
 
     def attach(self, net) -> None:
         self.net = net
@@ -168,14 +154,14 @@ class AntNetRouting(RoutingAlgorithm):
         self.flows: Dict[int, Dict[int, float]] = {u: {} for u in topo.nodes}
         self.ant_rng = net.sim.stream("ant_routing")
         self.data_rng = net.sim.stream("data_routing")
-        if self.params.launch_interval_s != math.inf:
+        if self.launch_interval_s != math.inf:
             for u in topo.nodes:
                 self._schedule_launch(u)
 
     # -- ant launching -------------------------------------------------------
 
     def _schedule_launch(self, node: int) -> None:
-        t = self.net.sim.now + self.params.launch_interval_s
+        t = self.net.sim.now + self.launch_interval_s
         self.net.sim.schedule(t, lambda: self._launch(node))
 
     def _launch(self, node: int) -> None:
@@ -198,13 +184,7 @@ class AntNetRouting(RoutingAlgorithm):
         flows = self.flows[node]
         total = sum(flows.values())
         if total > 0:
-            pick = self.ant_rng.random() * total
-            acc = 0.0
-            for d, f in flows.items():
-                acc += f
-                if pick <= acc:
-                    return d
-            return next(reversed(flows))
+            return self._weighted_pick(self.ant_rng, list(flows), list(flows.values()), total)
         others = [v for v in self.net.topo.nodes if v != node]
         return self.ant_rng.choice(others)
 
@@ -259,9 +239,7 @@ class AntNetRouting(RoutingAlgorithm):
         nbrs = self.neighbors[node]
         queue_bits = [self.net.port(node, n).lo_bits for n in nbrs]
         heuristic = queue_heuristic(queue_bits)
-        return blend_probabilities(
-            self.tables[node][dst], heuristic, self.params.heuristic_weight
-        )
+        return blend_probabilities(self.tables[node][dst], heuristic, HEURISTIC_WEIGHT)
 
     @staticmethod
     def _weighted_pick(rng, items, weights, total):
@@ -307,7 +285,6 @@ class AntNetRouting(RoutingAlgorithm):
     def backward_update(self, node: int, trail: _Trail) -> None:
         """Model and routing-table updates for the final destination and for
         every statistically good sub-path destination beyond ``node``."""
-        params = self.params
         stack = trail.stack
         pos = trail.pos
         here_elapsed = stack[pos][1]
@@ -322,17 +299,14 @@ class AntNetRouting(RoutingAlgorithm):
             model = models.get(dst)
             if j != last and model is not None:
                 # sub-path times count only when statistically good
-                bound = model.mu + params.confidence_z * math.sqrt(model.var) / math.sqrt(
-                    model.w_count
-                )
-                if trip >= bound:
+                if trip >= model.upper_bound():
                     continue
             if model is None:
                 model = TripModel(trip)
                 models[dst] = model
             else:
-                model.update(trip, params.model_decay, params.window_max)
-            r = score_trip(trip, model, n_nbrs, params)
+                model.update(trip, MODEL_DECAY, WINDOW_MAX)
+            r = score_trip(trip, model, n_nbrs)
             reinforce_row(self.tables[node][dst], from_idx, r)
 
     # -- data forwarding -----------------------------------------------------
@@ -344,9 +318,8 @@ class AntNetRouting(RoutingAlgorithm):
         else:
             candidates = nbrs
         row = self.tables[node][packet.dst]
-        exp = self.params.data_power_exponent
         idx = self.nbr_index[node]
-        weights = [row[idx[n]] ** exp for n in candidates]
+        weights = [row[idx[n]] ** DATA_POWER_EXPONENT for n in candidates]
         total = sum(weights)
         if total <= 0:
             return self.data_rng.choice(candidates)

@@ -188,13 +188,12 @@ class QRouting(RoutingAlgorithm):
     """Online asynchronous distance-vector learner: per-hop feedback packets
     carry the downstream time-to-go estimate; forwarding is a deterministic
     arg min over the learned per-neighbor estimates. Feedback goes back for
-    every arriving data packet, even one the network then drops for TTL."""
+    every arriving data packet, even one the network then drops for TTL.
+    Each feedback moves its estimate by the fixed ``learning_rate``."""
 
     name = "qr"
     elab_s = 0.003
-
-    def __init__(self, learning_rate: float = 0.5):
-        self.learning_rate = learning_rate
+    learning_rate = 0.5
 
     def attach(self, net) -> None:
         self.net = net
@@ -241,20 +240,15 @@ class QRouting(RoutingAlgorithm):
 class PQRouting(QRouting):
     """Predictive extension of the feedback learner: tracks per-entry best
     values and recovery rates, and probes links whose predicted estimate
-    (current value relaxed toward the best at the recovery rate) is minimal."""
+    (current value relaxed toward the best at the recovery rate) is minimal.
+    The rate learns from improving feedback by the fixed
+    ``recovery_learning`` and decays by the fixed ``recovery_decay``
+    otherwise."""
 
     name = "pqr"
     elab_s = 0.003
-
-    def __init__(
-        self,
-        learning_rate: float = 0.5,
-        recovery_learning: float = 0.7,
-        recovery_decay: float = 0.95,
-    ):
-        super().__init__(learning_rate)
-        self.recovery_learning = recovery_learning
-        self.recovery_decay = recovery_decay
+    recovery_learning = 0.7
+    recovery_decay = 0.95
 
     def attach(self, net) -> None:
         super().attach(net)
@@ -303,24 +297,20 @@ class DaemonRouting(RoutingAlgorithm):
     routing packets.
 
     A link costs ``prop + bits/bw + (1-mix)*all_bits/bw + mix*s_bar/bw``, where
-    ``all_bits`` is the bits waiting at its port and ``s_bar`` their smoothed
-    value. Each next-hop decision runs one Dijkstra from ``node`` that prices
-    a link only when it relaxes it and stops as soon as ``packet.dst`` is
-    settled; equal-cost ties go to the smallest first-hop id, as in
-    ``routing.dijkstra``. After the search every port's ``s_bar`` advances one
-    step, ``decay*s_bar + (1-decay)*all_bits``. That is once per decision, so
+    ``all_bits`` is the bits waiting at its port, ``s_bar`` their smoothed
+    value and ``mix`` the fixed ``queue_mix``. Each next-hop decision runs one
+    Dijkstra from ``node`` that prices a link only when it relaxes it and stops
+    as soon as ``packet.dst`` is settled; equal-cost ties go to the smallest
+    first-hop id, as in ``routing.dijkstra``. After the search every port's
+    ``s_bar`` advances one step, ``decay*s_bar + (1-decay)*all_bits``, with
+    the fixed ``queue_mean_decay`` as ``decay``. That is once per decision, so
     the averaging window depends on the packet rate, not on time.
     """
 
     name = "daemon"
     elab_s = 0.0
-
-    def __init__(self, queue_mix: float = 0.4, queue_mean_decay: float = 0.9):
-        for key, value in (("queue_mix", queue_mix), ("queue_mean_decay", queue_mean_decay)):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{key} must be in [0, 1], got {value!r}")
-        self.queue_mix = queue_mix
-        self.queue_mean_decay = queue_mean_decay
+    queue_mix = 0.4
+    queue_mean_decay = 0.9
 
     def attach(self, net) -> None:
         self.net = net

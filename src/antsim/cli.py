@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from antsim.antnet import AntNetParams, AntNetRouting
+from antsim.antnet import AntNetRouting
 from antsim.baselines import (
     BfRouting,
     DaemonRouting,
@@ -72,6 +73,13 @@ class ExperimentConfig:
             self.traffic_spec = TrafficSpec(**self.traffic)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"traffic: {exc}") from exc
+        accepted = inspect.signature(ALGORITHMS[self.algorithm]).parameters
+        for key in self.algorithm_params:
+            if key not in accepted:
+                raise ConfigError(
+                    f"algorithm_params: {self.algorithm} has no parameter {key!r}"
+                    f" (accepted: {', '.join(accepted) or 'none'})"
+                )
         try:
             build_algorithm(self.algorithm, self.algorithm_params)
         except (TypeError, ValueError) as exc:
@@ -99,8 +107,6 @@ def resolve_topology(name: str):
 
 
 def build_algorithm(name: str, params: dict):
-    if name == "antnet":
-        return AntNetRouting(AntNetParams(**params))
     return ALGORITHMS[name](**params)
 
 

@@ -37,6 +37,16 @@ class TrafficSpec:
             raise ValueError(f"unknown spatial model {self.spatial!r}")
         if self.stream not in ("CBR", "GVBR"):
             raise ValueError(f"unknown stream type {self.stream!r}")
+        if not self.mean_packet_bits > 0:
+            raise ValueError(f"mean_packet_bits must be > 0, got {self.mean_packet_bits!r}")
+        if not (isinstance(self.packets_per_session, int) and self.packets_per_session >= 1):
+            raise ValueError(
+                f"packets_per_session must be an int >= 1, got {self.packets_per_session!r}"
+            )
+        if not self.hs_count >= 0:
+            raise ValueError(f"hs_count must be >= 0, got {self.hs_count!r}")
+        if self.temporal == "TMPHS" and None in (self.hot_spot_on_s, self.hot_spot_off_s):
+            raise ValueError("TMPHS requires hot_spot_on_s and hot_spot_off_s")
 
 
 class TrafficSource:
@@ -55,6 +65,9 @@ class TrafficSource:
         nodes = net.topo.nodes
         if spec.hs_count >= len(nodes):
             raise ValueError("hs_count must be smaller than the node count")
+        unknown = [u for u in spec.hot_spot_nodes or () if u not in nodes]
+        if unknown:
+            raise ValueError(f"hot_spot_nodes: no node with id {unknown[0]!r}")
         # Per-node session inter-arrival means: identical for U, randomized
         # multipliers in [0.5, 1.5] for R, drawn once per trial.
         if spec.spatial == "R":
@@ -77,8 +90,6 @@ class TrafficSource:
             for node in self.net.topo.nodes:
                 self._schedule_next_arrival(node)
             if spec.temporal == "TMPHS":
-                if spec.hot_spot_on_s is None or spec.hot_spot_off_s is None:
-                    raise ValueError("TMPHS requires hot_spot_on_s and hot_spot_off_s")
                 on = self.t_start + spec.hot_spot_on_s
                 off = self.t_start + spec.hot_spot_off_s
                 if off > on:

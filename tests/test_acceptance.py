@@ -9,7 +9,7 @@ import json
 import math
 import random
 
-from antsim.antnet import AntNetParams, AntNetRouting, TripModel, _squash, queue_heuristic, reinforce_row, score_trip
+from antsim.antnet import MODEL_DECAY, WINDOW_MAX, AntNetRouting, TripModel, _squash, queue_heuristic, reinforce_row, score_trip
 from antsim.cli import ExperimentConfig, run_experiment, run_trial, sweep_ant_rate
 from antsim.engine import Simulator
 from antsim.metrics import MetricsCollector
@@ -133,7 +133,6 @@ def test_acceptance_4_ant_rate_sweep():
 
 def test_acceptance_5_invariant_suite():
     rng = random.Random(99)
-    params = AntNetParams()
     # 10^6 randomized probability-row updates keep every row a distribution
     rows = [[1.0 / n] * n for n in (2, 3, 4, 5, 6) for _ in range(4)]
     for _ in range(50_000):
@@ -144,9 +143,9 @@ def test_acceptance_5_invariant_suite():
     for _ in range(3000):
         m = TripModel(rng.uniform(0.01, 1.0))
         for _ in range(rng.randint(0, 20)):
-            m.update(rng.uniform(0.01, 2.0), params.model_decay, params.window_max)
+            m.update(rng.uniform(0.01, 2.0), MODEL_DECAY, WINDOW_MAX)
         trips = sorted(rng.uniform(0.005, 3.0) for _ in range(4))
-        scores = [score_trip(t, m, rng.randint(2, 6), params) for t in trips]
+        scores = [score_trip(t, m, rng.randint(2, 6)) for t in trips]
         score_ok &= all(0 < s <= 1 for s in scores)
     heuristic_ok = all(
         abs(sum(queue_heuristic([rng.uniform(0, 1e5) for _ in range(n)])) - (n - 1))
@@ -154,8 +153,8 @@ def test_acceptance_5_invariant_suite():
         for n in range(2, 9)
         for _ in range(200)
     )
-    window_ok = params.window_max == 300
-    squash_ok = _squash(1.0, 4, 10.0) / _squash(1.0, 4, 10.0) == 1.0
+    window_ok = WINDOW_MAX == 300
+    squash_ok = _squash(1.0, 4) / _squash(1.0, 4) == 1.0
     ok = sums_ok and score_ok and heuristic_ok and window_ok and squash_ok
     assert report(
         5, ok,

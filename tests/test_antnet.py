@@ -4,7 +4,8 @@ import random
 import pytest
 
 from antsim.antnet import (
-    AntNetParams,
+    MODEL_DECAY,
+    WINDOW_MAX,
     AntNetRouting,
     TripModel,
     _Trail,
@@ -21,16 +22,7 @@ from antsim.topology import builtin_topology
 
 
 def test_default_window_max_is_300():
-    assert AntNetParams().window_max == 300  # round(5 * 0.3 / 0.005)
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        AntNetParams(reward_w1=0.6, reward_w2=0.3)
-    with pytest.raises(ValueError):
-        AntNetParams(window_fraction=1.5)
-    with pytest.raises(ValueError):
-        AntNetParams(model_decay=0.0)
+    assert WINDOW_MAX == 300  # round(5 * 0.3 / 0.005)
 
 
 def test_trip_model_update_oracle():
@@ -54,26 +46,24 @@ def test_trip_model_window_wrap_resets_best():
 
 def test_squash_ratio_oracle():
     # gain 10, 4 neighbors: s(0.55)/s(1) = (1+e^2.5)/(1+e^(10/2.2))
-    params = AntNetParams()
     m = TripModel(0.55)
     m.mu, m.var, m.w_count, m.w_best = 1.0, 0.0, 1, 0.55
     # craft raw = 0.7*(0.55/1.0) + 0.3*second; width = mu - w_best = 0.45
     # trip=1.0: second = 0.45/(0.45+0.45) = 0.5 -> raw = 0.385+0.15 = 0.535
-    r = score_trip(1.0, m, 4, params)
+    r = score_trip(1.0, m, 4)
     expected = (1 + math.exp(2.5)) / (1 + math.exp(10 / (0.535 * 4)))
     assert abs(r - expected) < 1e-12
 
 
 def test_score_trip_in_unit_interval_and_monotone():
     rng = random.Random(8)
-    params = AntNetParams()
     for _ in range(2000):
         m = TripModel(rng.uniform(0.01, 1.0))
         for _ in range(rng.randint(0, 30)):
-            m.update(rng.uniform(0.01, 2.0), params.model_decay, params.window_max)
+            m.update(rng.uniform(0.01, 2.0), MODEL_DECAY, WINDOW_MAX)
         n = rng.randint(2, 6)
         trips = sorted(rng.uniform(0.005, 3.0) for _ in range(5))
-        scores = [score_trip(t, m, n, params) for t in trips]
+        scores = [score_trip(t, m, n) for t in trips]
         for s in scores:
             assert 0.0 < s <= 1.0
         for a, b in zip(scores, scores[1:]):
@@ -82,11 +72,11 @@ def test_score_trip_in_unit_interval_and_monotone():
 
 def test_score_trip_rejects_nonpositive_trip():
     with pytest.raises(ValueError):
-        score_trip(0.0, TripModel(1.0), 3, AntNetParams())
+        score_trip(0.0, TripModel(1.0), 3)
 
 
 def test_squash_no_overflow_for_tiny_argument():
-    assert _squash(1e-12, 2, 10.0) > 0.0
+    assert _squash(1e-12, 2) > 0.0
 
 
 def test_reinforce_row_preserves_sum():
@@ -158,7 +148,7 @@ def test_tables_remain_distributions_after_ant_traffic():
 def test_uniform_initialization():
     sim = Simulator(0)
     net = Network(sim, builtin_topology("simplenet"), MetricsCollector())
-    algo = AntNetRouting(AntNetParams(launch_interval_s=math.inf))
+    algo = AntNetRouting(launch_interval_s=math.inf)
     net.set_algorithm(algo)
     assert algo.tables[1][6] == [1 / 3, 1 / 3, 1 / 3]
     assert algo.tables[6][1] == [1 / 2, 1 / 2]
@@ -188,7 +178,7 @@ def test_forward_ant_size_grows_with_hops():
 def test_data_forwarding_avoids_arrival_link():
     sim = Simulator(0)
     net = Network(sim, builtin_topology("simplenet"), MetricsCollector())
-    algo = AntNetRouting(AntNetParams(launch_interval_s=math.inf))
+    algo = AntNetRouting(launch_interval_s=math.inf)
     net.set_algorithm(algo)
     from antsim.network import DATA, Packet
 
@@ -201,7 +191,7 @@ def test_data_forwarding_avoids_arrival_link():
 def test_flow_biased_ant_destinations():
     sim = Simulator(0)
     net = Network(sim, builtin_topology("simplenet"), MetricsCollector())
-    algo = AntNetRouting(AntNetParams(launch_interval_s=math.inf))
+    algo = AntNetRouting(launch_interval_s=math.inf)
     net.set_algorithm(algo)
     algo.on_local_data(1, 6, 1e9)
     algo.on_local_data(1, 2, 1.0)
@@ -212,7 +202,7 @@ def test_flow_biased_ant_destinations():
 def test_backward_ant_off_its_trail_raises():
     sim = Simulator(0)
     net = Network(sim, builtin_topology("simplenet"), MetricsCollector())
-    algo = AntNetRouting(AntNetParams(launch_interval_s=math.inf))
+    algo = AntNetRouting(launch_interval_s=math.inf)
     net.set_algorithm(algo)
     from antsim.network import BACKWARD_ANT, Packet
 
@@ -230,6 +220,6 @@ def test_cycle_death_counted():
     sim = Simulator(master_seed=6)
     metrics = MetricsCollector()
     net = Network(sim, builtin_topology("simplenet"), metrics)
-    net.set_algorithm(AntNetRouting(AntNetParams(launch_interval_s=0.05)))
+    net.set_algorithm(AntNetRouting(launch_interval_s=0.05))
     sim.run_until(120.0)
     assert metrics.dropped_count.get("cycle/forward_ant", 0) > 0

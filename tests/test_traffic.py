@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from antsim.engine import Simulator
@@ -35,6 +37,17 @@ def test_spec_validation():
         TrafficSpec(stream="VBR")
     with pytest.raises(ValueError):
         TrafficSpec(mpia_s=-1.0)
+    for key, bad in (
+        ("mean_packet_bits", 0.0),
+        ("mean_packet_bits", -4096.0),
+        ("mean_packet_bits", math.nan),
+        ("packets_per_session", 0),
+        ("packets_per_session", -3),
+        ("packets_per_session", 2.5),
+        ("hs_count", -1),
+    ):
+        with pytest.raises(ValueError, match=key):
+            TrafficSpec(**{key: bad})
 
 
 def test_hot_spot_count_must_be_below_node_count():
@@ -112,11 +125,18 @@ def test_endpoints_never_self():
 
 
 def test_tmphs_requires_window():
+    with pytest.raises(ValueError, match="hot_spot_on_s"):
+        TrafficSpec(temporal="TMPHS", hs_count=1)
+    with pytest.raises(ValueError, match="hot_spot_off_s"):
+        TrafficSpec(temporal="TMPHS", hs_count=1, hot_spot_on_s=1.0)
+
+
+def test_unknown_hot_spot_node_is_rejected_before_the_first_event():
     sim, net = make_net()
-    spec = TrafficSpec(temporal="TMPHS", hs_count=1)
-    src = TrafficSource(net, spec, 0.0, 10.0)
-    with pytest.raises(ValueError):
-        src.start()
+    spec = TrafficSpec(hs_count=1, hot_spot_nodes=[99])
+    with pytest.raises(ValueError, match="hot_spot_nodes.*99"):
+        TrafficSource(net, spec, 0.0, 10.0)
+    assert sim.now == 0.0 and net.metrics.generated_count.get("data", 0) == 0
 
 
 def test_tmphs_overlay_active_only_inside_window():
