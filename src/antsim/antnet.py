@@ -172,7 +172,6 @@ class AntNetRouting(RoutingAlgorithm):
             node,
             dst,
             self.net.sim.now,
-            ttl=self.net.ttl_s,
             payload=_Trail(node),
         )
         self._forward_move(node, packet)
@@ -264,7 +263,6 @@ class AntNetRouting(RoutingAlgorithm):
             node,
             trail.stack[0][0],
             self.net.sim.now,
-            ttl=self.net.ttl_s,
             payload=trail,
         )
         trail.pos = len(trail.stack) - 1

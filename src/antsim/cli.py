@@ -10,7 +10,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from antsim.antnet import AntNetRouting
 from antsim.baselines import (
@@ -69,8 +69,14 @@ class ExperimentConfig:
             raise ConfigError("trials: must be >= 1")
         if self.label is None:
             self.label = self.algorithm
+        # derived, not a field: every trial builds its network on this graph
+        try:
+            self.topo = resolve_topology(self.topology)
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"topology: {exc}") from exc
         try:
             self.traffic_spec = TrafficSpec(**self.traffic)
+            self.traffic_spec.check_topology(self.topo)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"traffic: {exc}") from exc
         accepted = inspect.signature(ALGORITHMS[self.algorithm]).parameters
@@ -114,9 +120,8 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> Tuple[dict, List[dict]]:
     """One self-contained simulation: routing-only warmup, then measured run."""
     seed = cfg.master_seed + trial
     sim = Simulator(master_seed=seed)
-    topo = resolve_topology(cfg.topology)
     metrics = MetricsCollector(t_start=cfg.warmup_s)
-    net = Network(sim, topo, metrics)
+    net = Network(sim, cfg.topo, metrics)
     algo = build_algorithm(cfg.algorithm, cfg.algorithm_params)
     net.set_algorithm(algo)
     t_end = cfg.warmup_s + cfg.run_length_s
@@ -236,26 +241,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a multi-trial experiment from a config file")
-    p_run.add_argument("config")
-    p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--trials", type=int, default=None)
-    p_run.add_argument("--seed", type=int, default=None)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("config")
+    common.add_argument("--out", default=None, help="output directory")
+    common.add_argument("--trials", type=int, default=None)
+    common.add_argument("--seed", type=int, default=None)
+
+    p_run = sub.add_parser(
+        "run", parents=[common], help="run a multi-trial experiment from a config file"
+    )
     p_run.add_argument("--algorithm", default=None)
 
-    p_rate = sub.add_parser("sweep-rate", help="sweep the ant launch interval")
-    p_rate.add_argument("config")
+    p_rate = sub.add_parser("sweep-rate", parents=[common], help="sweep the ant launch interval")
     p_rate.add_argument("--rates", type=float, nargs="+", required=True)
-    p_rate.add_argument("--out", default=None)
-    p_rate.add_argument("--trials", type=int, default=None)
-    p_rate.add_argument("--seed", type=int, default=None)
 
-    p_load = sub.add_parser("sweep-load", help="sweep the session inter-arrival mean")
-    p_load.add_argument("config")
+    p_load = sub.add_parser(
+        "sweep-load", parents=[common], help="sweep the session inter-arrival mean"
+    )
     p_load.add_argument("--msia", type=float, nargs="+", required=True)
-    p_load.add_argument("--out", default=None)
-    p_load.add_argument("--trials", type=int, default=None)
-    p_load.add_argument("--seed", type=int, default=None)
 
     p_stats = sub.add_parser("topo-stats", help="hop-distance statistics of a topology")
     p_stats.add_argument("topology", help="builtin name or JSON file path")

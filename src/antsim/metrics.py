@@ -15,9 +15,10 @@ class MetricsCollector:
     recorded only from ``t_start`` (the end of warmup) onward.
     """
 
-    def __init__(self, t_start: float = 0.0, window_s: float = 5.0):
+    window_s = 5.0  # length of one windowed_series row
+
+    def __init__(self, t_start: float = 0.0):
         self.t_start = t_start
-        self.window_s = window_s
         self.generated_count: Dict[str, int] = defaultdict(int)
         self.generated_bits: Dict[str, float] = defaultdict(float)
         self.delivered_count: Dict[str, int] = defaultdict(int)

@@ -16,10 +16,6 @@ FORWARD_ANT = "forward_ant"
 BACKWARD_ANT = "backward_ant"
 ROUTING_INFO = "routing_info"
 
-DEFAULT_BUFFER_BITS = 1e9
-DEFAULT_TTL_S = 15.0
-DEFAULT_NODE_SERVICE_S = 0.0003
-
 
 class Packet:
     __slots__ = (
@@ -28,14 +24,13 @@ class Packet:
         "src",
         "dst",
         "created_at",
-        "ttl",
         "payload",
         "prev_node",
         "node_arrival",
         "port_enqueue",
     )
 
-    def __init__(self, kind, size, src, dst, created_at, ttl=DEFAULT_TTL_S, payload=None):
+    def __init__(self, kind, size, src, dst, created_at, payload=None):
         if size <= 0:
             raise ValueError("packet size must be positive")
         self.kind = kind
@@ -43,7 +38,6 @@ class Packet:
         self.src = src
         self.dst = dst
         self.created_at = created_at
-        self.ttl = ttl
         self.payload = payload
         self.prev_node = None  # node this packet last arrived from
         self.node_arrival = created_at  # arrival time at the current node
@@ -68,21 +62,14 @@ class Port:
 class Network:
     """Event-driven network owned by a single simulator instance."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        topo: Topology,
-        metrics: MetricsCollector,
-        buffer_bits: float = DEFAULT_BUFFER_BITS,
-        ttl_s: float = DEFAULT_TTL_S,
-        node_service_s: float = DEFAULT_NODE_SERVICE_S,
-    ):
+    buffer_bits = 1e9  # shared buffer of each node
+    ttl_s = 15.0  # maximum packet age, for every packet kind
+    node_service_s = 0.0003  # per-hop processing delay of a data packet
+
+    def __init__(self, sim: Simulator, topo: Topology, metrics: MetricsCollector):
         self.sim = sim
         self.topo = topo
         self.metrics = metrics
-        self.buffer_bits = buffer_bits
-        self.ttl_s = ttl_s
-        self.node_service_s = node_service_s
         self.buffer_used: Dict[int, float] = {u: 0.0 for u in topo.nodes}
         self.ports: Dict[Tuple[int, int], Port] = {
             (l.src, l.dst): Port(l) for l in topo.links
@@ -101,7 +88,7 @@ class Network:
 
     def inject_data(self, src: int, dst: int, size: float) -> None:
         now = self.sim.now
-        packet = Packet(DATA, size, src, dst, now, ttl=self.ttl_s)
+        packet = Packet(DATA, size, src, dst, now)
         self.metrics.on_generated(now, DATA, size)
         self.algorithm.on_local_data(src, dst, size)
         self.sim.schedule(now + self.node_service_s, lambda: self.dispatch(src, packet))
@@ -143,7 +130,7 @@ class Network:
             else:
                 return
             port.all_bits -= packet.size
-            if packet.ttl and self.sim.now - packet.created_at > packet.ttl:
+            if self.sim.now - packet.created_at > self.ttl_s:
                 # expired while queued: discard instead of wasting the link
                 self.buffer_used[port.link.src] -= packet.size
                 self.metrics.on_dropped("ttl", packet.kind)
@@ -178,7 +165,7 @@ class Network:
             # so per-hop residence time is measurable (feedback-based routing)
             algo.on_data_arrival(node, packet, link.src)
             packet.node_arrival = now
-            if now - packet.created_at > packet.ttl:
+            if now - packet.created_at > self.ttl_s:
                 self.metrics.on_dropped("ttl", DATA)
             elif node == packet.dst:
                 self.metrics.on_delivered(now, DATA, packet.size, now - packet.created_at)
@@ -187,7 +174,7 @@ class Network:
             return
         packet.node_arrival = now
         if packet.kind in (FORWARD_ANT, BACKWARD_ANT):
-            if now - packet.created_at > packet.ttl:
+            if now - packet.created_at > self.ttl_s:
                 self.metrics.on_dropped("ttl", packet.kind)
             else:
                 self.sim.schedule(now + algo.elab_s, lambda: algo.on_ant(node, packet, link.src))
@@ -199,7 +186,7 @@ class Network:
 
     def dispatch(self, node: int, packet: Packet) -> None:
         """Route a data packet out of ``node`` after its service delay."""
-        if self.sim.now - packet.created_at > packet.ttl:
+        if self.sim.now - packet.created_at > self.ttl_s:
             self.metrics.on_dropped("ttl", packet.kind)
             return
         nxt = self.algorithm.select_next_hop(node, packet)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from antsim.network import Network, Session
+from antsim.topology import Topology
 
 DEFAULT_MEAN_PACKET_BITS = 4096.0
 DEFAULT_PACKETS_PER_SESSION = 50
@@ -48,6 +49,18 @@ class TrafficSpec:
         if self.temporal == "TMPHS" and None in (self.hot_spot_on_s, self.hot_spot_off_s):
             raise ValueError("TMPHS requires hot_spot_on_s and hot_spot_off_s")
 
+    def check_topology(self, topo: Topology) -> None:
+        """Reject settings that name nodes the topology does not have."""
+        if self.hs_count >= topo.n_nodes:
+            raise ValueError(f"hs_count must be smaller than the node count {topo.n_nodes}")
+        nodes = set(topo.nodes)
+        for u in self.hot_spot_nodes or ():
+            if u not in nodes:
+                raise ValueError(f"hot_spot_nodes: no node with id {u!r}")
+        for pair in self.fixed_pairs or ():
+            if len(pair) != 2 or pair[0] == pair[1] or not nodes.issuperset(pair):
+                raise ValueError(f"fixed_pairs: {pair!r} must name two distinct nodes")
+
 
 class TrafficSource:
     """Drives session creation on a network between t_start and t_end."""
@@ -63,11 +76,6 @@ class TrafficSource:
         self.size_rng = sim.stream("packet_sizes")
         self.interval_rng = sim.stream("packet_intervals")
         nodes = net.topo.nodes
-        if spec.hs_count >= len(nodes):
-            raise ValueError("hs_count must be smaller than the node count")
-        unknown = [u for u in spec.hot_spot_nodes or () if u not in nodes]
-        if unknown:
-            raise ValueError(f"hot_spot_nodes: no node with id {unknown[0]!r}")
         # Per-node session inter-arrival means: identical for U, randomized
         # multipliers in [0.5, 1.5] for R, drawn once per trial.
         if spec.spatial == "R":

@@ -242,6 +242,74 @@ def test_main_run_and_error_paths(tmp_path, capsys):
     assert not (tmp_path / "tmphs_res").exists()
 
 
+DISCONNECTED_TOPOLOGY = {
+    "nodes": 4,
+    "links": [
+        {"a": 1, "b": 2, "bandwidth_bps": 1e6, "prop_delay_s": 0.001},
+        {"a": 3, "b": 4, "bandwidth_bps": 1e6, "prop_delay_s": 0.001},
+    ],
+}
+RUN = ["run"]
+
+
+@pytest.mark.parametrize(
+    "key, overrides, topology_file, command",
+    [
+        pytest.param(
+            "traffic", {"traffic": dict(SMALL_TRAFFIC, hs_count=1, hot_spot_nodes=[99])},
+            None, RUN, id="hot_spot_nodes",
+        ),
+        pytest.param("traffic", {"traffic": dict(SMALL_TRAFFIC, hs_count=8)}, None, RUN,
+                     id="hs_count"),
+        pytest.param("topology", {"topology": "bogusnet"}, None, RUN, id="unknown_topology"),
+        pytest.param(
+            "traffic", {"traffic": dict(SMALL_TRAFFIC, temporal="F", fixed_pairs=[[1, 99]])},
+            None, RUN, id="fixed_pair_unknown_node",
+        ),
+        pytest.param(
+            "traffic", {"traffic": dict(SMALL_TRAFFIC, temporal="F", fixed_pairs=[[3, 3]])},
+            None, RUN, id="fixed_pair_same_node",
+        ),
+        pytest.param("topology", {}, "{not json", RUN, id="topology_file_not_json"),
+        pytest.param("topology", {}, json.dumps(DISCONNECTED_TOPOLOGY), RUN,
+                     id="topology_file_not_connected"),
+        pytest.param(
+            "traffic", {"traffic": dict(SMALL_TRAFFIC, hot_spot_nodes=[99])},
+            None, ["sweep-load", "--msia", "2.0", "1.0"], id="sweep_load_hot_spot_nodes",
+        ),
+    ],
+)
+def test_bad_experiment_exits_2_before_any_output(
+    tmp_path, capsys, monkeypatch, key, overrides, topology_file, command
+):
+    raw = {"topology": "simplenet", "algorithm": "spf", "traffic": SMALL_TRAFFIC,
+           "run_length_s": 2.0, "warmup_s": 1.0, "trials": 1, **overrides}
+    if topology_file is not None:
+        topo_path = tmp_path / "topo.json"
+        topo_path.write_text(topology_file)
+        raw["topology"] = str(topo_path)
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        ExperimentConfig(**raw)
+
+    ran = []
+    monkeypatch.setattr(cli, "run_trial", lambda cfg, trial: ran.append(trial))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "res"
+    assert main([command[0], str(path), "--out", str(out), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ") and "Traceback" not in err
+    assert ran == [] and not out.exists()
+
+
+def test_topology_is_resolved_once_per_experiment(monkeypatch):
+    calls = []
+    resolve = cli.resolve_topology
+    monkeypatch.setattr(cli, "resolve_topology", lambda name: calls.append(name) or resolve(name))
+    run_experiment(small_config(trials=3, run_length_s=2.0, warmup_s=1.0), write=False)
+    assert calls == ["simplenet"]
+
+
 def test_shipped_recipe_configs_load():
     from importlib import resources
 

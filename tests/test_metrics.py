@@ -53,7 +53,7 @@ def test_power_definition():
 
 
 def test_windowed_series():
-    m = MetricsCollector(t_start=0.0, window_s=5.0)
+    m = MetricsCollector(t_start=0.0)
     m.on_generated(1.0, "data", 5000)
     m.on_delivered(1.0, "data", 5000, 0.5)
     m.on_generated(6.0, "data", 10_000)
@@ -69,7 +69,7 @@ def test_windowed_series():
 
 
 def test_empty_window_mean_delay_is_none():
-    m = MetricsCollector(t_start=0.0, window_s=5.0)
+    m = MetricsCollector(t_start=0.0)
     m.on_delivered(7.0, "data", 100, 0.1)
     rows = m.windowed_series(10.0)
     assert rows[0]["mean_delay_s"] is None

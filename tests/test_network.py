@@ -22,11 +22,15 @@ class FixedNextHop(RoutingAlgorithm):
         return self.net.topo.neighbors(node)[0]
 
 
-def two_node_net(bandwidth=1.5e6, delay=0.004, **kwargs):
+def two_node_net(bandwidth=1.5e6, delay=0.004, **constants):
+    """``constants`` override Network's fixed model constants on the instance."""
     sim = Simulator()
     topo = from_edge_list(2, [(1, 2)], bandwidth, delay)
     metrics = MetricsCollector()
-    net = Network(sim, topo, metrics, **kwargs)
+    net = Network(sim, topo, metrics)
+    for name, value in constants.items():
+        assert hasattr(Network, name), name
+        setattr(net, name, value)
     net.set_algorithm(FixedNextHop())
     return sim, net, metrics
 

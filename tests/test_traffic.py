@@ -51,9 +51,18 @@ def test_spec_validation():
 
 
 def test_hot_spot_count_must_be_below_node_count():
-    sim, net = make_net()
-    with pytest.raises(ValueError):
-        TrafficSource(net, TrafficSpec(hs_count=8), 0.0, 10.0)
+    simplenet = builtin_topology("simplenet")
+    TrafficSpec(hs_count=7).check_topology(simplenet)
+    with pytest.raises(ValueError, match="hs_count"):
+        TrafficSpec(hs_count=8).check_topology(simplenet)
+
+
+@pytest.mark.parametrize("pair", [(1, 99), (3, 3), (1, 2, 3), (0, 1)])
+def test_fixed_pairs_must_name_two_distinct_nodes(pair):
+    simplenet = builtin_topology("simplenet")
+    TrafficSpec(fixed_pairs=[(1, 6)]).check_topology(simplenet)
+    with pytest.raises(ValueError, match="fixed_pairs"):
+        TrafficSpec(fixed_pairs=[(1, 6), pair]).check_topology(simplenet)
 
 
 def test_fixed_one_to_all_session_count():
@@ -129,14 +138,6 @@ def test_tmphs_requires_window():
         TrafficSpec(temporal="TMPHS", hs_count=1)
     with pytest.raises(ValueError, match="hot_spot_off_s"):
         TrafficSpec(temporal="TMPHS", hs_count=1, hot_spot_on_s=1.0)
-
-
-def test_unknown_hot_spot_node_is_rejected_before_the_first_event():
-    sim, net = make_net()
-    spec = TrafficSpec(hs_count=1, hot_spot_nodes=[99])
-    with pytest.raises(ValueError, match="hot_spot_nodes.*99"):
-        TrafficSource(net, spec, 0.0, 10.0)
-    assert sim.now == 0.0 and net.metrics.generated_count.get("data", 0) == 0
 
 
 def test_tmphs_overlay_active_only_inside_window():
