@@ -162,7 +162,7 @@ class AntNetRouting(RoutingAlgorithm):
 
     def _schedule_launch(self, node: int) -> None:
         t = self.net.sim.now + self.launch_interval_s
-        self.net.sim.schedule(t, lambda: self._launch(node))
+        self.net.sim.schedule(t, self._launch, node)
 
     def _launch(self, node: int) -> None:
         dst = self.pick_ant_destination(node)

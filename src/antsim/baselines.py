@@ -8,7 +8,7 @@ from heapq import heappop, heappush
 from typing import Dict, List, Tuple
 
 from antsim.network import Packet
-from antsim.routing import CostTable, RoutingAlgorithm, dijkstra
+from antsim.routing import CostTable, LinkCostEstimator, RoutingAlgorithm, dijkstra
 
 LSA_BASE_BYTES = 64
 LSA_BYTES_PER_NEIGHBOR = 8
@@ -27,6 +27,12 @@ def _min_hop_next(topo) -> Dict[int, Dict[int, int]]:
         _, hop = dijkstra(topo.n_nodes, adjacency, u)
         tables[u] = {d: h for d, h in hop.items() if h is not None}
     return tables
+
+
+def _monitor_ports(net) -> None:
+    """Give every port a delay monitor; only spf and bf read link costs from one."""
+    for port in net.ports.values():
+        port.monitor = LinkCostEstimator()
 
 
 class _PeriodicBroadcast(RoutingAlgorithm):
@@ -140,6 +146,10 @@ class SpfRouting(_LinkStateBase):
     name = "spf"
     elab_s = 0.006
 
+    def attach(self, net) -> None:
+        _monitor_ports(net)
+        super().attach(net)
+
     def _link_costs(self, node: int) -> Dict[int, float]:
         return {
             l.dst: float(self.net.port(node, l.dst).monitor.close_window())
@@ -154,6 +164,7 @@ class BfRouting(_PeriodicBroadcast):
     elab_s = 0.002
 
     def attach(self, net) -> None:
+        _monitor_ports(net)
         self.net = net
         topo = net.topo
         self.cost_tables: Dict[int, CostTable] = {
@@ -315,13 +326,13 @@ class DaemonRouting(RoutingAlgorithm):
     def attach(self, net) -> None:
         self.net = net
         self.ports = list(net.ports.values())
-        slot = {port.link: i for i, port in enumerate(self.ports)}
+        slot = {key: i for i, key in enumerate(net.ports)}
         # edges[u]: (dst, prop_delay_s, bandwidth_bps, port, index) per
         # out-link of u, by dst; index is the link's slot in ports and
         # smoothed_queue. Node ids are 1..n, so edges[0] stays empty.
         self.edges: List[Tuple] = [()] + [
             tuple(
-                (l.dst, l.prop_delay_s, l.bandwidth_bps, self.ports[slot[l]], slot[l])
+                (l.dst, l.prop_delay_s, l.bandwidth_bps, net.ports[(u, l.dst)], slot[(u, l.dst)])
                 for l in net.topo.out_links[u]
             )
             for u in net.topo.nodes

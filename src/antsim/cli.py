@@ -45,6 +45,22 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending key."""
 
 
+# (key, accepted types, name in the error) of the top-level values whose
+# type the checks below and run_experiment rely on. bool is an int subclass,
+# but none of these may be one.
+_FIELD_TYPES = [
+    ("algorithm", str, "a string"),
+    ("out_dir", str, "a string"),
+    ("label", str, "a string"),
+    ("trials", int, "an integer"),
+    ("master_seed", int, "an integer"),
+    ("warmup_s", (int, float), "a number"),
+    ("run_length_s", (int, float), "a number"),
+    ("traffic", dict, "an object"),
+    ("algorithm_params", dict, "an object"),
+]
+
+
 @dataclass
 class ExperimentConfig:
     topology: str
@@ -59,6 +75,12 @@ class ExperimentConfig:
     label: Optional[str] = None
 
     def __post_init__(self):
+        if self.label is None:
+            self.label = self.algorithm
+        for key, types, expected in _FIELD_TYPES:
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigError(f"{key}: must be {expected}, got {type(value).__name__}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm: unknown value {self.algorithm!r}")
         if not self.warmup_s >= 0:
@@ -67,8 +89,6 @@ class ExperimentConfig:
             raise ConfigError("run_length_s: must be > 0")
         if self.trials < 1:
             raise ConfigError("trials: must be >= 1")
-        if self.label is None:
-            self.label = self.algorithm
         # derived, not a field: every trial builds its network on this graph
         try:
             self.topo = resolve_topology(self.topology)
@@ -93,8 +113,15 @@ class ExperimentConfig:
 
 
 def load_config(path: str, **overrides) -> ExperimentConfig:
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config file: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ConfigError(f"{path}: config file is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: config file must hold a JSON object")
     raw.update({k: v for k, v in overrides.items() if v is not None})
     allowed = set(ExperimentConfig.__dataclass_fields__)
     for key in raw:

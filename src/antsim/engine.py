@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import heapq
 import random
+from heapq import heappop, heappush
 from typing import Callable, Dict, List, Tuple
 
 
@@ -14,24 +14,27 @@ class SchedulingError(Exception):
 class Simulator:
     """Single-threaded event loop with a continuous clock.
 
-    Events pop in (fire_time, insertion seq) order, so equal-time events run
-    FIFO and replays with the same seed are bit-identical.
+    An event is a ``(fire_time, seq, fn, args)`` tuple; firing it calls
+    ``fn(*args)``. Events pop in (fire_time, insertion seq) order, so
+    equal-time events run FIFO, ``fn`` and ``args`` are never compared, and
+    replays with the same seed are bit-identical.
     """
 
     def __init__(self, master_seed: int = 0):
         self.now = 0.0
         self.master_seed = master_seed
-        self._queue: List[Tuple[float, int, Callable[[], None]]] = []
+        self._queue: List[Tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self._streams: Dict[str, random.Random] = {}
 
-    def schedule(self, fire_time: float, action: Callable[[], None]) -> None:
+    def schedule(self, fire_time: float, fn: Callable[..., None], *args) -> None:
+        """Call ``fn(*args)`` at ``fire_time``."""
         if not fire_time >= self.now:  # also rejects NaN
             raise SchedulingError(
                 f"event scheduled at t={fire_time} but clock is at t={self.now}"
             )
-        self._seq += 1
-        heapq.heappush(self._queue, (fire_time, self._seq, action))
+        self._seq = seq = self._seq + 1
+        heappush(self._queue, (fire_time, seq, fn, args))
 
     def run_until(self, t_end: float) -> int:
         if not t_end >= self.now:
@@ -39,9 +42,8 @@ class Simulator:
         processed = 0
         queue = self._queue
         while queue and queue[0][0] <= t_end:
-            fire_time, _, action = heapq.heappop(queue)
-            self.now = fire_time
-            action()
+            self.now, _, fn, args = heappop(queue)
+            fn(*args)
             processed += 1
         self.now = t_end
         return processed

@@ -45,18 +45,39 @@ class Packet:
 
 
 class Port:
-    """State of one outgoing link: two FIFO queues and the transmitter."""
+    """State of one outgoing link, ``src`` -> ``dst``: the link's bandwidth
+    and propagation delay, two FIFO queues and the transmitter.
 
-    __slots__ = ("link", "hi", "lo", "busy", "lo_bits", "all_bits", "monitor")
+    ``monitor`` belongs to the routing algorithms that price links by their
+    measured delay (spf and bf): their ``attach`` gives each port a
+    ``LinkCostEstimator``, which every data transmission then feeds. Under
+    the other algorithms it stays ``None`` and nothing is recorded.
+    """
+
+    __slots__ = (
+        "src",
+        "dst",
+        "bandwidth_bps",
+        "prop_delay_s",
+        "hi",
+        "lo",
+        "busy",
+        "lo_bits",
+        "all_bits",
+        "monitor",
+    )
 
     def __init__(self, link: Link):
-        self.link = link
+        self.src = link.src
+        self.dst = link.dst
+        self.bandwidth_bps = link.bandwidth_bps
+        self.prop_delay_s = link.prop_delay_s
         self.hi: deque = deque()
         self.lo: deque = deque()
         self.busy = False
         self.lo_bits = 0.0  # low-priority bits waiting (ant heuristic input)
         self.all_bits = 0.0  # all bits waiting (daemon queue reads)
-        self.monitor = LinkCostEstimator()
+        self.monitor: Optional[LinkCostEstimator] = None
 
 
 class Network:
@@ -91,36 +112,40 @@ class Network:
         packet = Packet(DATA, size, src, dst, now)
         self.metrics.on_generated(now, DATA, size)
         self.algorithm.on_local_data(src, dst, size)
-        self.sim.schedule(now + self.node_service_s, lambda: self.dispatch(src, packet))
+        self.sim.schedule(now + self.node_service_s, self.dispatch, src, packet)
 
     def send_ant(self, node: int, next_hop: int, packet: Packet) -> None:
         high = packet.kind == BACKWARD_ANT
-        self.enqueue_for_link(node, self.port(node, next_hop), packet, high)
+        self.enqueue_for_link(node, self.ports[(node, next_hop)], packet, high)
 
     def send_routing(self, node: int, next_hop: int, size: float, payload) -> None:
-        packet = Packet(ROUTING_INFO, size, node, next_hop, self.sim.now, payload=payload)
-        self.metrics.on_generated(self.sim.now, ROUTING_INFO, size)
-        self.enqueue_for_link(node, self.port(node, next_hop), packet, high=True)
+        now = self.sim.now
+        packet = Packet(ROUTING_INFO, size, node, next_hop, now, payload=payload)
+        self.metrics.on_generated(now, ROUTING_INFO, size)
+        self.enqueue_for_link(node, self.ports[(node, next_hop)], packet, True)
 
     # -- queueing and transmission ------------------------------------------
 
     def enqueue_for_link(self, node: int, port: Port, packet: Packet, high: bool) -> bool:
-        if self.buffer_used[node] + packet.size > self.buffer_bits:
+        size = packet.size
+        used = self.buffer_used[node] + size
+        if used > self.buffer_bits:
             self.metrics.on_dropped("buffer", packet.kind)
             return False
-        self.buffer_used[node] += packet.size
-        packet.port_enqueue = self.sim.now
+        self.buffer_used[node] = used
+        now = self.sim.now
+        packet.port_enqueue = now
         if high:
             port.hi.append(packet)
         else:
             port.lo.append(packet)
-            port.lo_bits += packet.size
-        port.all_bits += packet.size
+            port.lo_bits += size
+        port.all_bits += size
         if not port.busy:
-            self._start_tx(port)
+            self._start_tx(port, now)
         return True
 
-    def _start_tx(self, port: Port) -> None:
+    def _start_tx(self, port: Port, now: float) -> None:
         while True:
             if port.hi:
                 packet = port.hi.popleft()
@@ -130,59 +155,59 @@ class Network:
             else:
                 return
             port.all_bits -= packet.size
-            if self.sim.now - packet.created_at > self.ttl_s:
+            if now - packet.created_at > self.ttl_s:
                 # expired while queued: discard instead of wasting the link
-                self.buffer_used[port.link.src] -= packet.size
+                self.buffer_used[port.src] -= packet.size
                 self.metrics.on_dropped("ttl", packet.kind)
                 continue
             break
         port.busy = True
-        tx_time = packet.size / port.link.bandwidth_bps
+        tx_time = packet.size / port.bandwidth_bps
         if packet.kind != DATA:
-            self.metrics.on_routing_tx(self.sim.now, packet.size)
-        self.sim.schedule(self.sim.now + tx_time, lambda: self._tx_done(port, packet, tx_time))
+            self.metrics.on_routing_tx(now, packet.size)
+        self.sim.schedule(now + tx_time, self._tx_done, port, packet, tx_time)
 
     def _tx_done(self, port: Port, packet: Packet, tx_time: float) -> None:
         now = self.sim.now
         port.busy = False
-        self.buffer_used[port.link.src] -= packet.size  # last bit has left the node
-        if packet.kind == DATA:
+        self.buffer_used[port.src] -= packet.size  # last bit has left the node
+        if port.monitor is not None and packet.kind == DATA:
             # only data traffic feeds the utilization monitor; an abandoned
             # link keeps its last cost instead of decaying on idle chatter
             port.monitor.record(now - packet.port_enqueue, tx_time)
-        self.sim.schedule(now + port.link.prop_delay_s, lambda: self._arrive(port.link, packet))
-        self._start_tx(port)
+        self.sim.schedule(now + port.prop_delay_s, self._arrive, port, packet)
+        if port.hi or port.lo:
+            self._start_tx(port, now)
 
     # -- reception -----------------------------------------------------------
 
-    def _arrive(self, link: Link, packet: Packet) -> None:
+    def _arrive(self, port: Port, packet: Packet) -> None:
         now = self.sim.now
-        node = link.dst
-        packet.prev_node = link.src
-        algo = self.algorithm
-        if packet.kind == DATA:
+        node = port.dst
+        from_node = port.src
+        packet.prev_node = from_node
+        kind = packet.kind
+        if kind == DATA:
             # hook runs while node_arrival still refers to the previous node,
             # so per-hop residence time is measurable (feedback-based routing)
-            algo.on_data_arrival(node, packet, link.src)
+            self.algorithm.on_data_arrival(node, packet, from_node)
             packet.node_arrival = now
             if now - packet.created_at > self.ttl_s:
                 self.metrics.on_dropped("ttl", DATA)
             elif node == packet.dst:
                 self.metrics.on_delivered(now, DATA, packet.size, now - packet.created_at)
             else:
-                self.sim.schedule(now + self.node_service_s, lambda: self.dispatch(node, packet))
+                self.sim.schedule(now + self.node_service_s, self.dispatch, node, packet)
             return
         packet.node_arrival = now
-        if packet.kind in (FORWARD_ANT, BACKWARD_ANT):
-            if now - packet.created_at > self.ttl_s:
-                self.metrics.on_dropped("ttl", packet.kind)
-            else:
-                self.sim.schedule(now + algo.elab_s, lambda: algo.on_ant(node, packet, link.src))
-        else:
+        algo = self.algorithm
+        if kind == ROUTING_INFO:
             self.metrics.on_delivered(now, ROUTING_INFO, packet.size, now - packet.created_at)
-            self.sim.schedule(
-                now + algo.elab_s, lambda: algo.on_routing_packet(node, packet, link.src)
-            )
+            self.sim.schedule(now + algo.elab_s, algo.on_routing_packet, node, packet, from_node)
+        elif now - packet.created_at > self.ttl_s:
+            self.metrics.on_dropped("ttl", kind)
+        else:
+            self.sim.schedule(now + algo.elab_s, algo.on_ant, node, packet, from_node)
 
     def dispatch(self, node: int, packet: Packet) -> None:
         """Route a data packet out of ``node`` after its service delay."""
@@ -190,7 +215,7 @@ class Network:
             self.metrics.on_dropped("ttl", packet.kind)
             return
         nxt = self.algorithm.select_next_hop(node, packet)
-        self.enqueue_for_link(node, self.port(node, nxt), packet, high=False)
+        self.enqueue_for_link(node, self.ports[(node, nxt)], packet, False)
 
 
 class Session:

@@ -101,10 +101,10 @@ class TrafficSource:
                 on = self.t_start + spec.hot_spot_on_s
                 off = self.t_start + spec.hot_spot_off_s
                 if off > on:
-                    sim.schedule(on, lambda: self._start_hot_spots(off))
+                    sim.schedule(on, self._start_hot_spots, off)
         # A persistent hot-spot overlay (e.g. UP-HS) runs for the whole span.
         if spec.temporal != "TMPHS" and spec.hs_count > 0:
-            sim.schedule(self.t_start, lambda: self._start_hot_spots(self.t_end))
+            sim.schedule(self.t_start, self._start_hot_spots, self.t_end)
 
     # -- fixed sessions ------------------------------------------------------
 
@@ -123,7 +123,7 @@ class TrafficSource:
         gap = self.arrival_rng.expovariate(1.0 / self.node_msia[node])
         t = max(self.net.sim.now, self.t_start) + gap
         if t <= self.t_end:
-            self.net.sim.schedule(t, lambda: self._session_arrival(node))
+            self.net.sim.schedule(t, self._session_arrival, node)
 
     def _session_arrival(self, node: int) -> None:
         src, dst = self.pick_session_endpoints(node)

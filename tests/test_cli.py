@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -277,6 +278,22 @@ RUN = ["run"]
             "traffic", {"traffic": dict(SMALL_TRAFFIC, hot_spot_nodes=[99])},
             None, ["sweep-load", "--msia", "2.0", "1.0"], id="sweep_load_hot_spot_nodes",
         ),
+        pytest.param("algorithm", {"algorithm": ["spf"]}, None, RUN, id="algorithm_list"),
+        pytest.param("label", {"label": 3}, None, RUN, id="label_int"),
+        pytest.param("trials", {"trials": "3"}, None, RUN, id="trials_str"),
+        pytest.param("trials", {"trials": True}, None, RUN, id="trials_bool"),
+        pytest.param("trials", {"trials": 1.0}, None, RUN, id="trials_float"),
+        pytest.param("master_seed", {"master_seed": "7"}, None, RUN, id="master_seed_str"),
+        pytest.param("master_seed", {"master_seed": False}, None, RUN, id="master_seed_bool"),
+        pytest.param("warmup_s", {"warmup_s": "1"}, None, RUN, id="warmup_s_str"),
+        pytest.param("warmup_s", {"warmup_s": None}, None, RUN, id="warmup_s_null"),
+        pytest.param("run_length_s", {"run_length_s": [2.0]}, None, RUN,
+                     id="run_length_s_list"),
+        pytest.param("run_length_s", {"run_length_s": True}, None, RUN,
+                     id="run_length_s_bool"),
+        pytest.param("traffic", {"traffic": [1]}, None, RUN, id="traffic_list"),
+        pytest.param("algorithm_params", {"algorithm_params": "x"}, None, RUN,
+                     id="algorithm_params_str"),
     ],
 )
 def test_bad_experiment_exits_2_before_any_output(
@@ -300,6 +317,33 @@ def test_bad_experiment_exits_2_before_any_output(
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}: ") and "Traceback" not in err
     assert ran == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        pytest.param("missing.json", None, id="missing"),
+        pytest.param("dir.json", "DIRECTORY", id="unreadable"),
+        pytest.param("bad.json", "{bad", id="not_json"),
+        pytest.param("latin1.json", b'{"topology": "caf\xe9"}', id="not_utf8"),
+        pytest.param("list.json", json.dumps([{"topology": "simplenet"}]), id="not_object"),
+    ],
+)
+def test_unusable_config_file_exits_2(tmp_path, capsys, name, content):
+    path = tmp_path / name
+    if content == "DIRECTORY":
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "):
+        load_config(str(path))
+    out = tmp_path / "res"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_topology_is_resolved_once_per_experiment(monkeypatch):

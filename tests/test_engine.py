@@ -25,6 +25,28 @@ def test_equal_time_events_run_fifo():
     assert fired == list(range(20))
 
 
+def test_schedule_passes_its_arguments():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, lambda a, b: fired.append((a, b)), "x", 2)
+    sim.schedule(2.0, fired.append, "no-closure")
+    assert sim.run_until(5.0) == 2
+    assert fired == [("x", 2), "no-closure"]
+
+
+def test_equal_time_events_with_arguments_run_fifo():
+    sim = Simulator()
+    fired = []
+    # descending arguments and two different functions: only the insertion
+    # order may decide, never a comparison of fn or args
+    for tag in reversed(range(20)):
+        fn = fired.append if tag % 2 else (lambda t: fired.append(t))
+        sim.schedule(1.0, fn, tag)
+    sim.schedule(0.5, fired.append, "first")
+    sim.run_until(1.0)
+    assert fired == ["first", *reversed(range(20))]
+
+
 def test_scheduling_in_the_past_raises():
     sim = Simulator()
     sim.schedule(1.0, lambda: None)
@@ -33,12 +55,17 @@ def test_scheduling_in_the_past_raises():
         sim.schedule(4.0, lambda: None)
     with pytest.raises(SchedulingError):
         sim.run_until(4.0)
+    with pytest.raises(SchedulingError):
+        sim.schedule(4.0, print, "never", "fired")
+    assert sim._queue == []
 
 
 def test_nan_times_are_rejected():
     sim = Simulator()
     with pytest.raises(SchedulingError):
         sim.schedule(math.nan, lambda: None)
+    with pytest.raises(SchedulingError):
+        sim.schedule(math.nan, print, "never")
     fired = []
     sim.schedule(1.0, lambda: fired.append(sim.now))
     with pytest.raises(SchedulingError):

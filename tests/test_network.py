@@ -1,5 +1,6 @@
 import pytest
 
+from antsim.cli import ALGORITHMS
 from antsim.engine import Simulator
 from antsim.metrics import MetricsCollector
 from antsim.network import (
@@ -9,8 +10,8 @@ from antsim.network import (
     Packet,
     Session,
 )
-from antsim.routing import RoutingAlgorithm
-from antsim.topology import from_edge_list
+from antsim.routing import LinkCostEstimator, RoutingAlgorithm
+from antsim.topology import builtin_topology, from_edge_list
 
 
 class FixedNextHop(RoutingAlgorithm):
@@ -100,6 +101,18 @@ def test_dispatch_to_a_non_neighbor_raises_and_charges_no_buffer():
         net.dispatch(1, Packet(DATA, 4096, 1, 3, 0.0))
     assert net.buffer_used == before
     assert not any(port.busy or port.lo for port in net.ports.values())
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_only_spf_and_bf_give_ports_a_delay_monitor(name):
+    net = Network(Simulator(), builtin_topology("simplenet"), MetricsCollector())
+    net.set_algorithm(ALGORITHMS[name]())
+    monitors = [port.monitor for port in net.ports.values()]
+    if name in ("spf", "bf"):
+        assert all(isinstance(m, LinkCostEstimator) for m in monitors)
+        assert len({id(m) for m in monitors}) == len(monitors)
+    else:
+        assert monitors == [None] * len(monitors)
 
 
 def test_buffer_exhaustion_drops():
