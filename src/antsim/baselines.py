@@ -249,12 +249,15 @@ class QRouting(RoutingAlgorithm):
 
 
 class PQRouting(QRouting):
-    """Predictive extension of the feedback learner: tracks per-entry best
-    values and recovery rates, and probes links whose predicted estimate
-    (current value relaxed toward the best at the recovery rate) is minimal.
-    The rate learns from improving feedback by the fixed
-    ``recovery_learning`` and decays by the fixed ``recovery_decay``
-    otherwise."""
+    """Predictive extension of the feedback learner. Each Q entry
+    ``q[u][d][n]`` has a record ``stats[u][d][n] = [best, rate, last]``: the
+    lowest value the entry has reached, its recovery rate (<= 0) and the time
+    of its last feedback. Forwarding picks the neighbor with the least
+    predicted estimate ``max(best, q + rate * (now - last))``, the current
+    value relaxed toward the best while the entry sits idle, ranked by
+    ``(predicted, id)`` so ties go to the smallest id. The rate learns from
+    improving feedback by the fixed ``recovery_learning`` and decays by the
+    fixed ``recovery_decay`` otherwise."""
 
     name = "pqr"
     elab_s = 0.003
@@ -263,43 +266,37 @@ class PQRouting(QRouting):
 
     def attach(self, net) -> None:
         super().attach(net)
-        # (best value, recovery rate <= 0, last update time) per q entry
-        self.best: Dict[Tuple[int, int, int], float] = {}
-        self.recovery: Dict[Tuple[int, int, int], float] = {}
-        self.last_update: Dict[Tuple[int, int, int], float] = {}
-        for u, per_dst in self.q.items():
-            for d, entry in per_dst.items():
-                for n, q0 in entry.items():
-                    self.best[(u, d, n)] = q0
-                    self.recovery[(u, d, n)] = 0.0
-                    self.last_update[(u, d, n)] = 0.0
-
-    def predicted(self, node: int, dst: int, via: int, now: float) -> float:
-        key = (node, dst, via)
-        idle = now - self.last_update[key]
-        return max(self.best[key], self.q[node][dst][via] + self.recovery[key] * idle)
+        self.stats: Dict[int, Dict[int, Dict[int, List[float]]]] = {
+            u: {d: {n: [q0, 0.0, 0.0] for n, q0 in entry.items()} for d, entry in per_dst.items()}
+            for u, per_dst in self.q.items()
+        }
 
     def select_next_hop(self, node: int, packet: Packet) -> int:
         now = self.net.sim.now
         entry = self.q[node][packet.dst]
-        return min(entry, key=lambda n: (self.predicted(node, packet.dst, n, now), n))
+        stats = self.stats[node][packet.dst]
+
+        def rank(n: int) -> Tuple[float, int]:
+            best, rate, last = stats[n]
+            return max(best, entry[n] + rate * (now - last)), n
+
+        return min(entry, key=rank)
 
     def _apply_feedback(self, node: int, dst: int, via: int, q_new: float) -> None:
-        key = (node, dst, via)
-        now = self.net.sim.now
         entry = self.q[node][dst]
         old = entry[via]
-        entry[via] = old + self.learning_rate * (q_new - old)
+        super()._apply_feedback(node, dst, via, q_new)
         delta = entry[via] - old
-        self.best[key] = min(self.best[key], entry[via])
-        dt = max(now - self.last_update[key], 1e-9)
+        record = self.stats[node][dst][via]
+        best, rate, last = record
+        now = self.net.sim.now
+        dt = max(now - last, 1e-9)
         if delta < 0:
             # learn how fast this link's estimate recovers when load drains
-            self.recovery[key] += self.recovery_learning * (delta / dt)
+            rate += self.recovery_learning * (delta / dt)
         else:
-            self.recovery[key] *= self.recovery_decay
-        self.recovery[key] = min(self.recovery[key], 0.0)
-        self.last_update[key] = now
+            rate *= self.recovery_decay
+        record[:] = min(best, entry[via]), min(rate, 0.0), now
 
 
 class DaemonRouting(RoutingAlgorithm):

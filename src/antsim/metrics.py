@@ -20,7 +20,6 @@ class MetricsCollector:
     def __init__(self, t_start: float = 0.0):
         self.t_start = t_start
         self.generated_count: Dict[str, int] = defaultdict(int)
-        self.generated_bits: Dict[str, float] = defaultdict(float)
         self.delivered_count: Dict[str, int] = defaultdict(int)
         self.delivered_bits_total = 0.0
         self.delay_samples: List[float] = []
@@ -34,7 +33,6 @@ class MetricsCollector:
 
     def on_generated(self, t: float, kind: str, bits: float) -> None:
         self.generated_count[kind] += 1
-        self.generated_bits[kind] += bits
         if kind == "data" and t >= self.t_start:
             self._windows[self._widx(t)][3] += bits
 

@@ -126,12 +126,12 @@ class Network:
 
     # -- queueing and transmission ------------------------------------------
 
-    def enqueue_for_link(self, node: int, port: Port, packet: Packet, high: bool) -> bool:
+    def enqueue_for_link(self, node: int, port: Port, packet: Packet, high: bool) -> None:
         size = packet.size
         used = self.buffer_used[node] + size
         if used > self.buffer_bits:
             self.metrics.on_dropped("buffer", packet.kind)
-            return False
+            return
         self.buffer_used[node] = used
         now = self.sim.now
         packet.port_enqueue = now
@@ -143,7 +143,6 @@ class Network:
         port.all_bits += size
         if not port.busy:
             self._start_tx(port, now)
-        return True
 
     def _start_tx(self, port: Port, now: float) -> None:
         while True:
@@ -232,7 +231,7 @@ class Session:
         packets_remaining: Optional[int],  # None = until end_time
         end_time: float,
         size_rng,
-        interval_rng=None,
+        interval_rng,
     ):
         self.net = net
         self.src = src
@@ -243,7 +242,7 @@ class Session:
         self.packets_remaining = packets_remaining
         self.end_time = end_time
         self.size_rng = size_rng
-        self.interval_rng = interval_rng if interval_rng is not None else size_rng
+        self.interval_rng = interval_rng
 
     def start(self) -> None:
         self.net.sim.schedule(self.net.sim.now + self._interval(), self._generate)

@@ -146,9 +146,9 @@ class TrafficSource:
 
     def _open_session(
         self, src: int, dst: int, mpia_s: float, persistent: bool, until: Optional[float] = None
-    ) -> Session:
+    ) -> None:
         spec = self.spec
-        session = Session(
+        Session(
             self.net,
             src,
             dst,
@@ -159,6 +159,4 @@ class TrafficSource:
             end_time=min(self.t_end, until) if until is not None else self.t_end,
             size_rng=self.size_rng,
             interval_rng=self.interval_rng,
-        )
-        session.start()
-        return session
+        ).start()

@@ -191,8 +191,8 @@ def test_pqr_with_zero_recovery_matches_qr_argmin():
     algo = net.algorithm
     algo.q[1][6] = {2: 5.0, 3: 1.0, 8: 2.0}
     for n in (2, 3, 8):
-        algo.best[(1, 6, n)] = algo.q[1][6][n]
-        algo.recovery[(1, 6, n)] = 0.0
+        algo.stats[1][6][n][0] = algo.q[1][6][n]  # best
+        algo.stats[1][6][n][1] = 0.0  # recovery rate
     p = Packet(DATA, 4096, 1, 6, 0.0)
     assert algo.select_next_hop(1, p) == 3
 
@@ -203,16 +203,115 @@ def test_pqr_recovery_lets_stale_entry_be_probed():
     sim.run_until(1.0)
     algo.q[1][6] = {2: 5.0, 3: 2.0, 8: 1.9}
     for n in (2, 3, 8):
-        algo.last_update[(1, 6, n)] = sim.now
-        algo.recovery[(1, 6, n)] = 0.0
-        algo.best[(1, 6, n)] = 0.5
+        algo.stats[1][6][n] = [0.5, 0.0, sim.now]  # best, recovery rate, last update
     # neighbor 3 has a negative recovery rate: its prediction falls over time
-    algo.recovery[(1, 6, 3)] = -0.01
+    algo.stats[1][6][3][1] = -0.01
     sim.schedule(21.0, lambda: None)
     sim.run_until(21.0)
     p = Packet(DATA, 4096, 1, 6, sim.now)
     # predicted for 3: max(0.5, 2.0 - 0.01*20) = 1.8 < 1.9
     assert algo.select_next_hop(1, p) == 3
+
+
+class PQRReference(QRouting):
+    """Oracle: pqr as first written, with its per-entry best value, recovery
+    rate and last-update time in three dicts keyed by ``(node, dst, via)``
+    and its own copy of the Q step."""
+
+    recovery_learning = PQRouting.recovery_learning
+    recovery_decay = PQRouting.recovery_decay
+
+    def attach(self, net) -> None:
+        super().attach(net)
+        self.best, self.recovery, self.last_update = {}, {}, {}
+        for u, per_dst in self.q.items():
+            for d, entry in per_dst.items():
+                for n, q0 in entry.items():
+                    self.best[(u, d, n)] = q0
+                    self.recovery[(u, d, n)] = 0.0
+                    self.last_update[(u, d, n)] = 0.0
+
+    def predicted(self, node, dst, via, now):
+        key = (node, dst, via)
+        idle = now - self.last_update[key]
+        return max(self.best[key], self.q[node][dst][via] + self.recovery[key] * idle)
+
+    def select_next_hop(self, node, packet):
+        now = self.net.sim.now
+        entry = self.q[node][packet.dst]
+        return min(entry, key=lambda n: (self.predicted(node, packet.dst, n, now), n))
+
+    def _apply_feedback(self, node, dst, via, q_new):
+        key = (node, dst, via)
+        now = self.net.sim.now
+        entry = self.q[node][dst]
+        old = entry[via]
+        entry[via] = old + self.learning_rate * (q_new - old)
+        delta = entry[via] - old
+        self.best[key] = min(self.best[key], entry[via])
+        dt = max(now - self.last_update[key], 1e-9)
+        if delta < 0:
+            self.recovery[key] += self.recovery_learning * (delta / dt)
+        else:
+            self.recovery[key] *= self.recovery_decay
+        self.recovery[key] = min(self.recovery[key], 0.0)
+        self.last_update[key] = now
+
+
+def pqr_state(algo):
+    """Every Q entry of a pqr learner as ``float.hex`` of (q, best, rate, last)."""
+    state = {}
+    for u, per_dst in algo.q.items():
+        for d, entry in per_dst.items():
+            for n, value in entry.items():
+                if isinstance(algo, PQRReference):
+                    key = (u, d, n)
+                    record = (algo.best[key], algo.recovery[key], algo.last_update[key])
+                else:
+                    record = algo.stats[u][d][n]
+                state[(u, d, n)] = tuple(x.hex() for x in (value, *record))
+    return state
+
+
+def test_pqr_matches_reference():
+    algos = new, ref = PQRouting(), PQRReference()
+    sims = [build(algo, "nsfnet")[0] for algo in algos]
+    topo = new.net.topo
+    rng = random.Random("pqr-reference")
+    now = 0.0
+    steps = {"improve": 0, "worsen": 0, "equal": 0, "tie": 0}
+    for step in range(400):
+        if rng.random() < 0.7:  # otherwise feedback arrives at the same instant
+            now += rng.expovariate(5.0)
+        for sim in sims:
+            sim.run_until(now)
+        node, dst = rng.sample(topo.nodes, 2)
+        via = rng.choice(topo.neighbors(node))
+        if step % 10 == 0:
+            # all-equal Q values: fresh entries (rate 0) predict exactly alike
+            level = max(new.q[node][dst].values())
+            for algo in algos:
+                for n in algo.q[node][dst]:
+                    algo.q[node][dst][n] = level
+        if step % 7 == 3:
+            # a positive rate exercises the clamp on whichever branch runs
+            rate = rng.uniform(0.0, 1.0)
+            new.stats[node][dst][via][1] = ref.recovery[(node, dst, via)] = rate
+        kind = rng.choice(("improve", "worsen", "equal"))
+        factor = {"improve": rng.uniform(0.1, 1.0), "worsen": rng.uniform(1.0, 3.0), "equal": 1.0}
+        q_new = new.q[node][dst][via] * factor[kind]
+        steps[kind] += 1
+        for algo in algos:
+            algo._apply_feedback(node, dst, via, q_new)
+        assert pqr_state(new) == pqr_state(ref), step
+        for d in [dst] + rng.sample(topo.nodes, 4):
+            if d == node:
+                continue
+            packet = Packet(DATA, 4096, node, d, now)
+            assert new.select_next_hop(node, packet) == ref.select_next_hop(node, packet)
+            predicted = [ref.predicted(node, d, n, now) for n in ref.q[node][d]]
+            steps["tie"] += predicted.count(min(predicted)) > 1
+    assert min(steps.values()) > 0, steps
 
 
 def test_pqr_recovery_rate_stays_nonpositive():
@@ -221,7 +320,13 @@ def test_pqr_recovery_rate_stays_nonpositive():
     for _ in range(50):
         net.inject_data(1, 6, 4096)
     sim.run_until(10.0)
-    assert all(r <= 0.0 for r in algo.recovery.values())
+    rates = [
+        record[1]
+        for per_dst in algo.stats.values()
+        for per_via in per_dst.values()
+        for record in per_via.values()
+    ]
+    assert rates and all(r <= 0.0 for r in rates)
 
 
 # -- omniscient bound --------------------------------------------------------

@@ -193,7 +193,8 @@ def test_session_cbr_is_periodic_with_fixed_sizes():
     original = metrics.on_generated
     metrics.on_generated = lambda t, kind, bits: (gen.append((t, bits)), original(t, kind, bits))
     s = Session(net, 1, 2, "CBR", mpia_s=0.01, mean_packet_bits=4096,
-                packets_remaining=5, end_time=10.0, size_rng=sim.stream("packet_sizes"))
+                packets_remaining=5, end_time=10.0, size_rng=sim.stream("packet_sizes"),
+                interval_rng=sim.stream("packet_intervals"))
     s.start()
     sim.run_until(10.0)
     assert len(gen) == 5
@@ -224,7 +225,8 @@ def test_session_stops_at_end_time():
     sim, net, metrics = two_node_net()
     s = Session(net, 1, 2, "CBR", mpia_s=0.1, mean_packet_bits=4096,
                 packets_remaining=None, end_time=1.0,
-                size_rng=sim.stream("packet_sizes"))
+                size_rng=sim.stream("packet_sizes"),
+                interval_rng=sim.stream("packet_intervals"))
     s.start()
     sim.run_until(5.0)
     assert metrics.generated_count["data"] == 10
