@@ -158,7 +158,13 @@ class SpfRouting(_LinkStateBase):
 
 
 class BfRouting(_PeriodicBroadcast):
-    """Asynchronous distributed distance-vector routing with dynamic costs."""
+    """Asynchronous distributed distance-vector routing with dynamic costs.
+
+    Each node's ``CostTable`` caches its best ``(distance, next hop)`` per
+    destination, and ``select_next_hop`` reads that cache, scanning the
+    neighbors only on a miss. A received vector drops the cached destinations
+    whose value from its sender changed; a broadcast that changes one of the
+    node's link costs clears the node's whole cache."""
 
     name = "bf"
     elab_s = 0.002
@@ -177,8 +183,8 @@ class BfRouting(_PeriodicBroadcast):
     def _broadcast(self, node: int) -> None:
         table = self.cost_tables[node]
         for link in self.net.topo.out_links[node]:
-            table.link_cost[link.dst] = float(
-                self.net.port(node, link.dst).monitor.close_window()
+            table.set_link_cost(
+                link.dst, float(self.net.port(node, link.dst).monitor.close_window())
             )
         vector = table.distance_vector()
         for link in self.net.topo.out_links[node]:
@@ -189,7 +195,8 @@ class BfRouting(_PeriodicBroadcast):
         self.cost_tables[node].merge(origin, vector)
 
     def select_next_hop(self, node: int, packet: Packet) -> int:
-        _, nxt = self.cost_tables[node].best(packet.dst)
+        table = self.cost_tables[node]
+        nxt = (table.cache.get(packet.dst) or table.best(packet.dst))[1]
         if nxt is None:
             return self.fallback[node][packet.dst]
         return nxt
@@ -198,7 +205,8 @@ class BfRouting(_PeriodicBroadcast):
 class QRouting(RoutingAlgorithm):
     """Online asynchronous distance-vector learner: per-hop feedback packets
     carry the downstream time-to-go estimate; forwarding is a deterministic
-    arg min over the learned per-neighbor estimates. Feedback goes back for
+    arg min over the learned per-neighbor estimates, ranked by ``(value, id)``
+    so ties go to the smallest id. Feedback goes back for
     every arriving data packet, even one the network then drops for TTL.
     Each feedback moves its estimate by the fixed ``learning_rate``."""
 
@@ -229,8 +237,13 @@ class QRouting(RoutingAlgorithm):
         return min(self.q[node][dst].values())
 
     def select_next_hop(self, node: int, packet: Packet) -> int:
-        entry = self.q[node][packet.dst]
-        return min(entry.items(), key=lambda kv: (kv[1], kv[0]))[0]
+        # rows run in ascending neighbor order (attach builds them from the
+        # sorted out_links), so the strict < keeps the smallest id on a tie
+        nxt = None
+        for n, q in self.q[node][packet.dst].items():
+            if nxt is None or q < least:
+                nxt, least = n, q
+        return nxt
 
     def on_data_arrival(self, node: int, packet: Packet, from_node: int) -> None:
         link = self.net.topo.link(from_node, node)
@@ -273,14 +286,16 @@ class PQRouting(QRouting):
 
     def select_next_hop(self, node: int, packet: Packet) -> int:
         now = self.net.sim.now
-        entry = self.q[node][packet.dst]
         stats = self.stats[node][packet.dst]
-
-        def rank(n: int) -> Tuple[float, int]:
+        nxt = None
+        for n, q in self.q[node][packet.dst].items():
             best, rate, last = stats[n]
-            return max(best, entry[n] + rate * (now - last)), n
-
-        return min(entry, key=rank)
+            predicted = q + rate * (now - last)
+            if predicted < best:
+                predicted = best
+            if nxt is None or predicted < least:
+                nxt, least = n, predicted
+        return nxt
 
     def _apply_feedback(self, node: int, dst: int, via: int, q_new: float) -> None:
         entry = self.q[node][dst]

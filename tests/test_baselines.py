@@ -186,6 +186,24 @@ def test_qr_selection_is_argmin():
     assert algo.select_next_hop(1, p) == 3
 
 
+def test_qr_selection_matches_min_on_ties():
+    sim, net, _ = build(QRouting(), "nsfnet")
+    algo = net.algorithm
+    rng = random.Random("qr-argmin")
+    levels = [0.0015, 0.002, 0.0035, 0.01]  # few values, so rows often tie
+    ties = 0
+    for _ in range(300):
+        node, dst = rng.sample(net.topo.nodes, 2)
+        entry = algo.q[node][dst]
+        for n in entry:
+            entry[n] = rng.choice(levels)
+        values = list(entry.values())
+        ties += values.count(min(values)) > 1
+        want = min(entry.items(), key=lambda kv: (kv[1], kv[0]))[0]
+        assert algo.select_next_hop(node, Packet(DATA, 4096, node, dst, 0.0)) == want
+    assert ties >= 50, ties
+
+
 def test_pqr_with_zero_recovery_matches_qr_argmin():
     sim, net, _ = build(PQRouting())
     algo = net.algorithm

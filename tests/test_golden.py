@@ -35,6 +35,7 @@ CASES = {
     "simplenet": ("simplenet", UP_TRAFFIC, sorted(ALGORITHMS)),
     "nsfnet": ("nsfnet", UP_TRAFFIC, sorted(ALGORITHMS)),
     "nsfnet-hotspot": ("nsfnet", HOTSPOT_TRAFFIC, ["pqr", "qr"]),
+    "nttnet": ("nttnet", UP_TRAFFIC, ["bf", "spf"]),
 }
 # ospf's default 30 s interval would flood nothing within the 9 s trial
 ALGORITHM_PARAMS = {"ospf": {"broadcast_interval_s": 2.0}}

@@ -1,6 +1,6 @@
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -90,7 +90,7 @@ def converge_distance_vectors(adjacency, n):
         nbrs = [v for v, _ in adjacency[u]]
         table = CostTable(u, n, nbrs)
         for v, c in adjacency[u]:
-            table.link_cost[v] = c
+            table.set_link_cost(v, c)
         tables[u] = table
     for _ in range(2 * n):
         vectors = {u: tables[u].distance_vector() for u in tables}
@@ -116,10 +116,77 @@ def test_bellman_ford_matches_dijkstra_on_random_graphs():
 def test_cost_table_merge_overwrites():
     t = CostTable(1, 3, [2, 3])
     t.merge(2, {3: 5.0})
+    assert t.best(3) == (6.0, 2)  # fills the cache before the overwrite
     t.merge(2, {3: 1.0})
-    d, nxt = t.best(3)
-    assert nxt in (2, 3)
-    assert d <= 2.0
+    assert t.best(3) == (2.0, 2)
+
+
+def uncached_best(table, dst):
+    """Oracle: ``CostTable.best`` as a scan on every call, with no cache."""
+    if dst == table.node:
+        return 0.0, None
+    best_d, best_j = INFINITY, None
+    for j in table.neighbors:
+        dj = table.vectors.get(j, {}).get(dst, INFINITY)
+        if dj is INFINITY:
+            continue
+        d = table.link_cost[j] + dj
+        if d < best_d:
+            best_d, best_j = d, j
+    return best_d, best_j
+
+
+def test_cost_table_cache_matches_uncached_scan():
+    rng = random.Random("cost-table-cache")
+    n, neighbors = 9, [2, 4, 5, 7]
+    table = CostTable(1, n, neighbors)
+
+    def value():
+        return rng.choice([float(rng.randint(1, 30)), rng.uniform(0.5, 30.0), INFINITY])
+
+    steps = Counter()
+    for step in range(400):
+        j = rng.choice(neighbors)
+        stored = table.vectors.get(j, {})
+        if step % 10 == 0:
+            # two neighbors reach one destination at exactly the same total
+            kind = "tie"
+            dst = rng.randint(2, n)
+            total = float(rng.randint(21, 40))  # above every link cost
+            for k in rng.sample(neighbors, 2):
+                table.merge(k, {**table.vectors.get(k, {}), dst: total - table.link_cost[k]})
+        elif rng.random() < 0.3:
+            kind = "link cost"
+            same = rng.random() < 0.4
+            table.set_link_cost(j, table.link_cost[j] if same else float(rng.randint(1, 20)))
+        else:
+            kind = rng.choice(("unchanged", "partly changed", "partial", "fresh"))
+            if kind == "unchanged":
+                vector = dict(stored)
+            elif kind == "partly changed":
+                vector = dict(stored)
+                for dst in rng.sample(range(1, n + 1), 3):
+                    vector[dst] = value()
+            elif kind == "partial":
+                # drops keys the stored vector may hold
+                vector = {d: value() for d in rng.sample(range(1, n + 1), rng.randint(0, n - 2))}
+            else:
+                vector = {d: value() for d in range(1, n + 1)}
+            vector[j] = 0.0
+            table.merge(j, vector)
+        steps[kind] += 1
+        for dst in range(1, n + 1):
+            want = uncached_best(table, dst)
+            got = table.best(dst)
+            assert got[1] == want[1], (step, kind, dst)
+            assert float.hex(got[0]) == float.hex(want[0]), (step, kind, dst)
+            totals = [
+                table.link_cost[k] + table.vectors[k][dst]
+                for k in table.vectors
+                if table.vectors[k].get(dst, INFINITY) is not INFINITY
+            ]
+            steps["winner tied"] += dst != 1 and totals.count(want[0]) > 1
+    assert len(steps) == 7 and min(steps.values()) >= 20, steps
 
 
 def test_cost_table_self_distance_zero():
