@@ -160,11 +160,10 @@ class SpfRouting(_LinkStateBase):
 class BfRouting(_PeriodicBroadcast):
     """Asynchronous distributed distance-vector routing with dynamic costs.
 
-    Each node's ``CostTable`` caches its best ``(distance, next hop)`` per
-    destination, and ``select_next_hop`` reads that cache, scanning the
-    neighbors only on a miss. A received vector drops the cached destinations
-    whose value from its sender changed; a broadcast that changes one of the
-    node's link costs clears the node's whole cache."""
+    ``select_next_hop`` asks the node's ``CostTable`` for its best next hop,
+    which the table caches per destination, scanning the neighbors only on a
+    miss. A received vector clears the node's cache, and so does a broadcast
+    that changes one of the node's link costs."""
 
     name = "bf"
     elab_s = 0.002
@@ -195,8 +194,7 @@ class BfRouting(_PeriodicBroadcast):
         self.cost_tables[node].merge(origin, vector)
 
     def select_next_hop(self, node: int, packet: Packet) -> int:
-        table = self.cost_tables[node]
-        nxt = (table.cache.get(packet.dst) or table.best(packet.dst))[1]
+        _, nxt = self.cost_tables[node].best(packet.dst)
         if nxt is None:
             return self.fallback[node][packet.dst]
         return nxt

@@ -81,10 +81,9 @@ def dijkstra(
 class CostTable:
     """Distance-vector state for one node: neighbor vectors plus link costs.
 
-    ``best`` caches its ``(distance, next hop)`` per destination in ``cache``.
-    ``merge`` drops the destinations whose value from that neighbor changed,
-    and ``set_link_cost``, the one writer of ``link_cost``, clears the whole
-    cache when a cost actually changes.
+    ``best`` caches its ``(distance, next hop)`` per destination. ``merge``
+    clears the whole cache, and so does ``set_link_cost``, the one writer of
+    ``link_cost``, when a cost actually changes.
     """
 
     def __init__(self, node: int, n_nodes: int, neighbors: List[int]):
@@ -93,27 +92,23 @@ class CostTable:
         self.neighbors = sorted(neighbors)
         self.link_cost: Dict[int, float] = {j: 1.0 for j in self.neighbors}
         self.vectors: Dict[int, Dict[int, float]] = {}  # neighbor -> their distances
-        self.cache: Dict[int, Tuple[float, Optional[int]]] = {}
+        self._cache: Dict[int, Tuple[float, Optional[int]]] = {}
 
     def set_link_cost(self, neighbor: int, cost: float) -> None:
         if self.link_cost[neighbor] != cost:
             self.link_cost[neighbor] = cost
-            self.cache.clear()
+            self._cache.clear()
 
     def merge(self, neighbor: int, vector: Dict[int, float]) -> None:
         """Overwrite the stored vector for ``neighbor`` with received values."""
-        old = self.vectors.get(neighbor, {})
-        new = self.vectors[neighbor] = dict(vector)
-        # a partial vector can drop a key, so compare over both key sets
-        for dst in old.keys() | new.keys():
-            if old.get(dst, INFINITY) != new.get(dst, INFINITY):
-                self.cache.pop(dst, None)
+        self.vectors[neighbor] = dict(vector)
+        self._cache.clear()
 
     def best(self, dst: int) -> Tuple[float, Optional[int]]:
         """(distance, next hop) = min over neighbors of link cost + their estimate."""
         if dst == self.node:
             return 0.0, None
-        cached = self.cache.get(dst)
+        cached = self._cache.get(dst)
         if cached is not None:
             return cached
         best_d, best_j = INFINITY, None
@@ -124,7 +119,7 @@ class CostTable:
             d = self.link_cost[j] + dj
             if d < best_d:
                 best_d, best_j = d, j
-        cached = self.cache[dst] = best_d, best_j
+        cached = self._cache[dst] = best_d, best_j
         return cached
 
     def distance_vector(self) -> Dict[int, float]:
