@@ -15,6 +15,7 @@ LSA_BYTES_PER_NEIGHBOR = 8
 DV_BASE_BYTES = 24
 DV_BYTES_PER_NODE = 12
 FEEDBACK_BYTES = 12
+FEEDBACK_BITS = FEEDBACK_BYTES * 8
 SAMPLE_PACKET_BITS = 4096.0  # 512-byte reference packet for static costs
 
 
@@ -228,11 +229,10 @@ class QRouting(RoutingAlgorithm):
                     t_hop = SAMPLE_PACKET_BITS / link.bandwidth_bps + link.prop_delay_s
                     entry[link.dst] = t_hop * (1 + hops[link.dst][d])
                 self.q[u][d] = entry
-
-    def min_time_to_go(self, node: int, dst: int) -> float:
-        if node == dst:
-            return 0.0
-        return min(self.q[node][dst].values())
+        # prop[u][v]: propagation delay of link u -> v, read on every data hop
+        self.prop: Dict[int, Dict[int, float]] = {
+            u: {l.dst: l.prop_delay_s for l in topo.out_links[u]} for u in topo.nodes
+        }
 
     def select_next_hop(self, node: int, packet: Packet) -> int:
         # rows run in ascending neighbor order (attach builds them from the
@@ -244,15 +244,23 @@ class QRouting(RoutingAlgorithm):
         return nxt
 
     def on_data_arrival(self, node: int, packet: Packet, from_node: int) -> None:
-        link = self.net.topo.link(from_node, node)
-        hop_time = self.net.sim.now - packet.node_arrival - link.prop_delay_s
-        q_new = self.min_time_to_go(node, packet.dst) + hop_time
-        payload = ("qfb", packet.dst, q_new)
-        self.net.send_routing(node, from_node, FEEDBACK_BYTES * 8, payload)
+        """Send ``from_node`` this node's least time-to-go for the packet's
+        destination (0 at the destination) plus the hop's queueing and
+        transmission time."""
+        dst = packet.dst
+        to_go = 0.0
+        if node != dst:
+            to_go = None
+            for q in self.q[node][dst].values():
+                if to_go is None or q < to_go:
+                    to_go = q
+        net = self.net
+        hop_time = net.sim.now - packet.node_arrival - self.prop[from_node][node]
+        net.send_routing(node, from_node, FEEDBACK_BITS, ("qfb", dst, to_go + hop_time))
 
     def on_routing_packet(self, node: int, packet: Packet, from_node: int) -> None:
-        tag, dst, q_new = packet.payload
-        self._apply_feedback(node, dst, from_node, q_new)
+        payload = packet.payload  # ("qfb", dst, q_new)
+        self._apply_feedback(node, payload[1], from_node, payload[2])
 
     def _apply_feedback(self, node: int, dst: int, via: int, q_new: float) -> None:
         entry = self.q[node][dst]
@@ -268,7 +276,12 @@ class PQRouting(QRouting):
     value relaxed toward the best while the entry sits idle, ranked by
     ``(predicted, id)`` so ties go to the smallest id. The rate learns from
     improving feedback by the fixed ``recovery_learning`` and decays by the
-    fixed ``recovery_decay`` otherwise."""
+    fixed ``recovery_decay`` otherwise.
+
+    A rate the learner produces never becomes positive: it starts at 0.0,
+    improving feedback adds a negative amount and any other feedback scales
+    it by ``recovery_decay``. So the clamp to ``rate <= 0`` in
+    ``_apply_feedback`` changes only a rate set from outside."""
 
     name = "pqr"
     elab_s = 0.003
@@ -284,9 +297,10 @@ class PQRouting(QRouting):
 
     def select_next_hop(self, node: int, packet: Packet) -> int:
         now = self.net.sim.now
-        stats = self.stats[node][packet.dst]
+        dst = packet.dst
+        stats = self.stats[node][dst]
         nxt = None
-        for n, q in self.q[node][packet.dst].items():
+        for n, q in self.q[node][dst].items():
             best, rate, last = stats[n]
             predicted = q + rate * (now - last)
             if predicted < best:
@@ -296,20 +310,30 @@ class PQRouting(QRouting):
         return nxt
 
     def _apply_feedback(self, node: int, dst: int, via: int, q_new: float) -> None:
+        # qr's Q step, then the record; each `if` returns what min/max would,
+        # ties and -0.0 included
         entry = self.q[node][dst]
         old = entry[via]
-        super()._apply_feedback(node, dst, via, q_new)
-        delta = entry[via] - old
+        q = old + self.learning_rate * (q_new - old)
+        entry[via] = q
         record = self.stats[node][dst][via]
-        best, rate, last = record
         now = self.net.sim.now
-        dt = max(now - last, 1e-9)
+        if q < record[0]:
+            record[0] = q
+        rate = record[1]
+        delta = q - old
         if delta < 0:
             # learn how fast this link's estimate recovers when load drains
+            dt = now - record[2]
+            if dt < 1e-9:
+                dt = 1e-9
             rate += self.recovery_learning * (delta / dt)
         else:
             rate *= self.recovery_decay
-        record[:] = min(best, entry[via]), min(rate, 0.0), now
+        if rate > 0.0:
+            rate = 0.0
+        record[1] = rate
+        record[2] = now
 
 
 class DaemonRouting(RoutingAlgorithm):

@@ -218,21 +218,32 @@ def run_experiment(cfg: ExperimentConfig, write: bool = True) -> dict:
     return agg
 
 
+def sweep(
+    cfg: ExperimentConfig, path: str, values: List[float], label: str, write: bool = True
+) -> List[dict]:
+    """One aggregate per value of the dotted config key ``path``, such as
+    ``"traffic.msia_s"``; each aggregate also holds its value under the
+    key's last part. Point ``v`` runs as label ``f"{label}_{v:g}"``. Every
+    point is validated before the first trial."""
+    section, key = path.split(".")
+    points = [
+        replace(cfg, label=f"{label}_{v:g}", **{section: dict(getattr(cfg, section), **{key: v})})
+        for v in values
+    ]
+    rows = []
+    for v, point in zip(values, points):
+        agg = run_experiment(point, write=write)
+        agg[key] = v
+        rows.append(agg)
+    return rows
+
+
 def sweep_ant_rate(cfg: ExperimentConfig, rates: List[float], write: bool = True) -> List[dict]:
     """Power-vs-overhead table over ant launch intervals (antnet only)."""
     if cfg.algorithm != "antnet":
         raise ConfigError("algorithm: sweep-rate requires antnet")
-    params = cfg.algorithm_params
-    points = [
-        replace(cfg, algorithm_params=dict(params, launch_interval_s=r), label=f"rate_{r:g}")
-        for r in rates
-    ]
-    rows = []
-    for rate, sub in zip(rates, points):
-        agg = run_experiment(sub, write=write)
-        rows.append(
-            {"launch_interval_s": rate, "overhead": agg["overhead"], "power": agg["power"]}
-        )
+    points = sweep(cfg, "algorithm_params.launch_interval_s", rates, "rate", write)
+    rows = [{k: agg[k] for k in ("launch_interval_s", "overhead", "power")} for agg in points]
     peak = max((r["power"] for r in rows if r["power"] is not None), default=None)
     for r in rows:
         r["normalized_power"] = (
@@ -245,15 +256,7 @@ def sweep_ant_rate(cfg: ExperimentConfig, rates: List[float], write: bool = True
 
 def sweep_load(cfg: ExperimentConfig, msia_list: List[float], write: bool = True) -> List[dict]:
     """One aggregate per session inter-arrival load point."""
-    points = [
-        replace(cfg, traffic=dict(cfg.traffic, msia_s=msia), label=f"{cfg.label}_msia_{msia:g}")
-        for msia in msia_list
-    ]
-    rows = []
-    for msia, sub in zip(msia_list, points):
-        agg = run_experiment(sub, write=write)
-        agg["msia_s"] = msia
-        rows.append(agg)
+    rows = sweep(cfg, "traffic.msia_s", msia_list, f"{cfg.label}_msia", write)
     if write:
         _dump_json(os.path.join(cfg.out_dir, f"{cfg.label}_load_sweep.json"), rows)
     return rows

@@ -1,5 +1,5 @@
 """The communication network model: store-and-forward nodes, two-priority
-FIFO link queues over a shared buffer, packet lifecycle, sessions."""
+FIFO link queues over a shared buffer, packet lifecycle."""
 
 from __future__ import annotations
 
@@ -10,6 +10,9 @@ from antsim.engine import Simulator
 from antsim.metrics import MetricsCollector
 from antsim.routing import LinkCostEstimator, RoutingAlgorithm
 from antsim.topology import Link, Topology
+
+# Session lives in traffic.py; perfbench/tracer.py hooks it under this module.
+from antsim.traffic import Session  # noqa: F401
 
 DATA = "data"
 FORWARD_ANT = "forward_ant"
@@ -120,7 +123,7 @@ class Network:
 
     def send_routing(self, node: int, next_hop: int, size: float, payload) -> None:
         now = self.sim.now
-        packet = Packet(ROUTING_INFO, size, node, next_hop, now, payload=payload)
+        packet = Packet(ROUTING_INFO, size, node, next_hop, now, payload)
         self.metrics.on_generated(now, ROUTING_INFO, size)
         self.enqueue_for_link(node, self.ports[(node, next_hop)], packet, True)
 
@@ -148,22 +151,24 @@ class Network:
         while True:
             if port.hi:
                 packet = port.hi.popleft()
+                size = packet.size
             elif port.lo:
                 packet = port.lo.popleft()
-                port.lo_bits -= packet.size
+                size = packet.size
+                port.lo_bits -= size
             else:
                 return
-            port.all_bits -= packet.size
+            port.all_bits -= size
             if now - packet.created_at > self.ttl_s:
                 # expired while queued: discard instead of wasting the link
-                self.buffer_used[port.src] -= packet.size
+                self.buffer_used[port.src] -= size
                 self.metrics.on_dropped("ttl", packet.kind)
                 continue
             break
         port.busy = True
-        tx_time = packet.size / port.bandwidth_bps
+        tx_time = size / port.bandwidth_bps
         if packet.kind != DATA:
-            self.metrics.on_routing_tx(now, packet.size)
+            self.metrics.on_routing_tx(now, size)
         self.sim.schedule(now + tx_time, self._tx_done, port, packet, tx_time)
 
     def _tx_done(self, port: Port, packet: Packet, tx_time: float) -> None:
@@ -216,54 +221,3 @@ class Network:
         nxt = self.algorithm.select_next_hop(node, packet)
         self.enqueue_for_link(node, self.ports[(node, nxt)], packet, False)
 
-
-class Session:
-    """One traffic session: a stream of data packets from src to dst."""
-
-    def __init__(
-        self,
-        net: Network,
-        src: int,
-        dst: int,
-        stream: str,  # "CBR" | "GVBR"
-        mpia_s: float,
-        mean_packet_bits: float,
-        packets_remaining: Optional[int],  # None = until end_time
-        end_time: float,
-        size_rng,
-        interval_rng,
-    ):
-        self.net = net
-        self.src = src
-        self.dst = dst
-        self.stream = stream
-        self.mpia_s = mpia_s
-        self.mean_packet_bits = mean_packet_bits
-        self.packets_remaining = packets_remaining
-        self.end_time = end_time
-        self.size_rng = size_rng
-        self.interval_rng = interval_rng
-
-    def start(self) -> None:
-        self.net.sim.schedule(self.net.sim.now + self._interval(), self._generate)
-
-    def _interval(self) -> float:
-        if self.stream == "CBR":
-            return self.mpia_s
-        return self.interval_rng.expovariate(1.0 / self.mpia_s)
-
-    def _size(self) -> float:
-        if self.stream == "CBR":
-            return self.mean_packet_bits
-        return self.size_rng.expovariate(1.0 / self.mean_packet_bits)
-
-    def _generate(self) -> None:
-        now = self.net.sim.now
-        if now > self.end_time:
-            return
-        if self.packets_remaining is not None:
-            if self.packets_remaining <= 0:
-                return
-            self.packets_remaining -= 1
-        self.net.inject_data(self.src, self.dst, self._size())
-        self.net.sim.schedule(now + self._interval(), self._generate)

@@ -233,8 +233,9 @@ def test_pqr_recovery_lets_stale_entry_be_probed():
 
 class PQRReference(QRouting):
     """Oracle: pqr as first written, with its per-entry best value, recovery
-    rate and last-update time in three dicts keyed by ``(node, dst, via)``
-    and its own copy of the Q step."""
+    rate and last-update time in three dicts keyed by ``(node, dst, via)``,
+    its own copy of the Q step, and the feedback formula that read the link
+    through ``topo.link`` and the time-to-go through ``min(values())``."""
 
     recovery_learning = PQRouting.recovery_learning
     recovery_decay = PQRouting.recovery_decay
@@ -248,6 +249,13 @@ class PQRReference(QRouting):
                     self.best[(u, d, n)] = q0
                     self.recovery[(u, d, n)] = 0.0
                     self.last_update[(u, d, n)] = 0.0
+
+    def on_data_arrival(self, node, packet, from_node):
+        link = self.net.topo.link(from_node, node)
+        hop_time = self.net.sim.now - packet.node_arrival - link.prop_delay_s
+        to_go = 0.0 if node == packet.dst else min(self.q[node][packet.dst].values())
+        payload = ("qfb", packet.dst, to_go + hop_time)
+        self.net.send_routing(node, from_node, 12 * 8, payload)
 
     def predicted(self, node, dst, via, now):
         key = (node, dst, via)
@@ -291,13 +299,23 @@ def pqr_state(algo):
     return state
 
 
+def feedback_sent(args):
+    """A captured ``send_routing`` call with its time-to-go as ``float.hex``."""
+    node, next_hop, size, (tag, dst, q_new) = args
+    return node, next_hop, size, tag, dst, q_new.hex()
+
+
 def test_pqr_matches_reference():
     algos = new, ref = PQRouting(), PQRReference()
     sims = [build(algo, "nsfnet")[0] for algo in algos]
     topo = new.net.topo
     rng = random.Random("pqr-reference")
+    feedback_rng = random.Random("pqr-feedback")  # leaves rng's steps as they were
+    sent = []
+    for algo in algos:
+        algo.net.send_routing = lambda *args: sent.append(args)
     now = 0.0
-    steps = {"improve": 0, "worsen": 0, "equal": 0, "tie": 0}
+    steps = {"improve": 0, "worsen": 0, "equal": 0, "tie": 0, "feedback_at_dst": 0}
     for step in range(400):
         if rng.random() < 0.7:  # otherwise feedback arrives at the same instant
             now += rng.expovariate(5.0)
@@ -322,6 +340,15 @@ def test_pqr_matches_reference():
         for algo in algos:
             algo._apply_feedback(node, dst, via, q_new)
         assert pqr_state(new) == pqr_state(ref), step
+        # a data packet reaches node from a neighbor: both send the same feedback
+        from_node = feedback_rng.choice(topo.neighbors(node))
+        target = node if step % 5 == 0 else dst
+        steps["feedback_at_dst"] += target == node
+        arrived = now - feedback_rng.uniform(0.0, 0.05)
+        sent.clear()
+        for algo in algos:
+            algo.on_data_arrival(node, Packet(DATA, 4096, from_node, target, arrived), from_node)
+        assert len(sent) == 2 and feedback_sent(sent[0]) == feedback_sent(sent[1]), step
         for d in [dst] + rng.sample(topo.nodes, 4):
             if d == node:
                 continue

@@ -1,3 +1,8 @@
+import json
+import math
+import random
+from collections import defaultdict
+
 from antsim.metrics import MetricsCollector, power
 
 
@@ -102,3 +107,153 @@ def test_routing_bits_before_measurement_ignored():
     m.on_routing_tx(99.0, 1000)
     m.on_routing_tx(101.0, 1000)
     assert m.routing_bits == 1000
+
+
+class DefaultdictCollector:
+    """Oracle: the collector as first written, counting in string-keyed
+    ``defaultdict`` entries, with an f-string ``"cause/kind"`` key per drop
+    and a ``_widx`` call per windowed sample."""
+
+    window_s = 5.0
+
+    def __init__(self, t_start=0.0):
+        self.t_start = t_start
+        self.generated_count = defaultdict(int)
+        self.delivered_count = defaultdict(int)
+        self.delivered_bits_total = 0.0
+        self.delay_samples = []
+        self.dropped_count = defaultdict(int)
+        self.routing_bits = 0.0
+        self._windows = defaultdict(lambda: [0.0, 0.0, 0, 0.0])
+
+    def _widx(self, t):
+        return int((t - self.t_start) / self.window_s)
+
+    def on_generated(self, t, kind, bits):
+        self.generated_count[kind] += 1
+        if kind == "data" and t >= self.t_start:
+            self._windows[self._widx(t)][3] += bits
+
+    def on_delivered(self, t, kind, bits, delay):
+        self.delivered_count[kind] += 1
+        if kind != "data" or t < self.t_start:
+            return
+        self.delivered_bits_total += bits
+        self.delay_samples.append(delay)
+        w = self._windows[self._widx(t)]
+        w[0] += bits
+        w[1] += delay
+        w[2] += 1
+
+    def on_dropped(self, cause, kind):
+        self.dropped_count[f"{cause}/{kind}"] += 1
+
+    def on_routing_tx(self, t, bits):
+        if t >= self.t_start:
+            self.routing_bits += bits
+
+    def percentile(self, p):
+        if not self.delay_samples:
+            return None
+        ordered = sorted(self.delay_samples)
+        rank = max(1, math.ceil(p / 100.0 * len(ordered)))
+        return ordered[rank - 1]
+
+    def summarize(self, run_end, total_link_bw_bps):
+        measured = run_end - self.t_start
+        throughput = self.delivered_bits_total / measured if measured > 0 else 0.0
+        p50 = self.percentile(50)
+        p90 = self.percentile(90)
+        mean_delay = (
+            sum(self.delay_samples) / len(self.delay_samples) if self.delay_samples else None
+        )
+        overhead = (
+            self.routing_bits / (total_link_bw_bps * measured) if measured > 0 else 0.0
+        )
+        return {
+            "measured_s": measured,
+            "throughput_bps": throughput,
+            "delivered_data_bits": self.delivered_bits_total,
+            "delay_mean_s": mean_delay,
+            "delay_p50_s": p50,
+            "delay_p90_s": p90,
+            "delay_histogram": self.delay_histogram(),
+            "delay_samples": len(self.delay_samples),
+            "overhead": overhead,
+            "routing_bits": self.routing_bits,
+            "power": power(throughput, p90),
+            "generated": dict(self.generated_count),
+            "delivered": dict(self.delivered_count),
+            "dropped": dict(self.dropped_count),
+        }
+
+    def delay_histogram(self, n_bins=24):
+        lo, hi = 1e-4, 1e2
+        edges = [lo * (hi / lo) ** (i / n_bins) for i in range(n_bins + 1)]
+        counts = [0] * (n_bins + 2)
+        for d in self.delay_samples:
+            if d < lo:
+                counts[0] += 1
+            elif d >= hi:
+                counts[-1] += 1
+            else:
+                i = int(n_bins * math.log(d / lo) / math.log(hi / lo))
+                counts[1 + min(i, n_bins - 1)] += 1
+        return {"bin_edges_s": edges, "counts": counts}
+
+    def windowed_series(self, run_end):
+        n = max(1, math.ceil((run_end - self.t_start) / self.window_s))
+        rows = []
+        for i in range(n):
+            bits, dsum, dcnt, gen = self._windows.get(i, [0.0, 0.0, 0, 0.0])
+            rows.append(
+                {
+                    "time_s": self.t_start + (i + 1) * self.window_s,
+                    "throughput_bps": bits / self.window_s,
+                    "mean_delay_s": dsum / dcnt if dcnt else None,
+                    "offered_bps": gen / self.window_s,
+                }
+            )
+        return rows
+
+
+def assert_same_readouts(new, old, run_end):
+    assert json.dumps(new.summarize(run_end, 3e7), sort_keys=True) == json.dumps(
+        old.summarize(run_end, 3e7), sort_keys=True
+    )
+    assert new.windowed_series(run_end) == old.windowed_series(run_end)
+    for name in ("generated_count", "delivered_count", "dropped_count"):
+        counts, want = getattr(new, name), dict(getattr(old, name))
+        assert dict(counts.items()) == want, name
+        assert all(counts[k] == n and counts.get(k) == n for k, n in want.items()), name
+
+
+def test_counters_match_defaultdict_collector():
+    rng = random.Random("metrics-oracle")
+    t_start = 7.5
+    new, old = MetricsCollector(t_start), DefaultdictCollector(t_start)
+    # times on, just before and just after t_start and every window edge
+    edges = [t_start + k * MetricsCollector.window_s for k in range(7)]
+    near = [t for e in edges for t in (e, math.nextafter(e, 0.0), math.nextafter(e, 50.0))]
+    kinds = ["data", "routing_info", "forward_ant", "backward_ant"]
+    calls = {"on_generated": 0, "on_delivered": 0, "on_dropped": 0, "on_routing_tx": 0}
+    assert_same_readouts(new, old, 40.0)  # nothing counted yet
+    for step in range(4000):
+        t = rng.choice(near) if rng.random() < 0.3 else rng.uniform(0.0, 40.0)
+        kind = rng.choice(kinds[:2] if rng.random() < 0.8 else kinds)
+        bits = rng.choice([96.0, 4096.0, rng.expovariate(1 / 4096)])
+        hook = rng.choice(list(calls))
+        args = {
+            "on_generated": (t, kind, bits),
+            "on_delivered": (t, kind, bits, rng.expovariate(10.0)),
+            "on_dropped": (rng.choice(("ttl", "buffer", "cycle")), kind),
+            "on_routing_tx": (t, bits),
+        }[hook]
+        calls[hook] += 1
+        for m in (new, old):
+            getattr(m, hook)(*args)
+        if step % 500 == 0:
+            assert_same_readouts(new, old, 40.0)
+    assert_same_readouts(new, old, 40.0)
+    assert_same_readouts(new, old, 33.0)  # a run that ends mid-window
+    assert min(calls.values()) > 800, calls
