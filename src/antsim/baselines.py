@@ -248,12 +248,7 @@ class QRouting(RoutingAlgorithm):
         destination (0 at the destination) plus the hop's queueing and
         transmission time."""
         dst = packet.dst
-        to_go = 0.0
-        if node != dst:
-            to_go = None
-            for q in self.q[node][dst].values():
-                if to_go is None or q < to_go:
-                    to_go = q
+        to_go = 0.0 if node == dst else min(self.q[node][dst].values())
         net = self.net
         hop_time = net.sim.now - packet.node_arrival - self.prop[from_node][node]
         net.send_routing(node, from_node, FEEDBACK_BITS, ("qfb", dst, to_go + hop_time))

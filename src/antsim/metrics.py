@@ -7,77 +7,35 @@ from collections import defaultdict
 from typing import Dict, List, Optional
 
 
-def _by_kind(data: int, routing: int, other: Dict[str, int]) -> Dict[str, int]:
-    """One kind -> packets dict, with only the kinds that were counted."""
-    counts = {"data": data, "routing_info": routing, **other}
-    return {kind: n for kind, n in counts.items() if n}
-
-
 class MetricsCollector:
     """Per-trial collector owned by the event loop.
 
     Packet/bit counters (generated, delivered, dropped) cover the whole run
     so conservation can be checked; throughput, delay and overhead samples are
     recorded only from ``t_start`` (the end of warmup) onward.
-
-    Data and routing packets, nearly all of the traffic, count in plain
-    attributes, other kinds in a dict, and drops per cause and kind; the
-    ``*_count`` properties merge them into ``kind`` and ``"cause/kind"``
-    keyed dicts.
     """
 
     window_s = 5.0  # length of one windowed_series row
 
     def __init__(self, t_start: float = 0.0):
         self.t_start = t_start
-        self.data_generated = 0
-        self.data_delivered = 0
-        self.routing_generated = 0
-        self.routing_delivered = 0
-        self._generated: Dict[str, int] = {}  # other kinds
-        self._delivered: Dict[str, int] = {}
-        self._dropped: Dict[str, Dict[str, int]] = {}  # cause -> kind -> packets
+        self.generated_count: Dict[str, int] = defaultdict(int)
+        self.delivered_count: Dict[str, int] = defaultdict(int)
         self.delivered_bits_total = 0.0
         self.delay_samples: List[float] = []
+        self.dropped_count: Dict[str, int] = defaultdict(int)  # key "cause/kind"
         self.routing_bits = 0.0
         # window index -> [delivered bits, delay sum, delay count, generated bits]
         self._windows: Dict[int, List[float]] = defaultdict(lambda: [0.0, 0.0, 0, 0.0])
 
-    @property
-    def generated_count(self) -> Dict[str, int]:
-        return _by_kind(self.data_generated, self.routing_generated, self._generated)
-
-    @property
-    def delivered_count(self) -> Dict[str, int]:
-        return _by_kind(self.data_delivered, self.routing_delivered, self._delivered)
-
-    @property
-    def dropped_count(self) -> Dict[str, int]:
-        return {
-            f"{cause}/{kind}": n
-            for cause, by_kind in self._dropped.items()
-            for kind, n in by_kind.items()
-        }
-
     def on_generated(self, t: float, kind: str, bits: float) -> None:
-        if kind == "data":
-            self.data_generated += 1
-            if t >= self.t_start:
-                self._windows[int((t - self.t_start) / self.window_s)][3] += bits
-        elif kind == "routing_info":
-            self.routing_generated += 1
-        else:
-            self._generated[kind] = self._generated.get(kind, 0) + 1
+        self.generated_count[kind] += 1
+        if kind == "data" and t >= self.t_start:
+            self._windows[int((t - self.t_start) / self.window_s)][3] += bits
 
     def on_delivered(self, t: float, kind: str, bits: float, delay: float) -> None:
-        if kind != "data":
-            if kind == "routing_info":
-                self.routing_delivered += 1
-            else:
-                self._delivered[kind] = self._delivered.get(kind, 0) + 1
-            return
-        self.data_delivered += 1
-        if t < self.t_start:
+        self.delivered_count[kind] += 1
+        if kind != "data" or t < self.t_start:
             return
         self.delivered_bits_total += bits
         self.delay_samples.append(delay)
@@ -87,10 +45,7 @@ class MetricsCollector:
         w[2] += 1
 
     def on_dropped(self, cause: str, kind: str) -> None:
-        by_kind = self._dropped.get(cause)
-        if by_kind is None:
-            by_kind = self._dropped[cause] = {}
-        by_kind[kind] = by_kind.get(kind, 0) + 1
+        self.dropped_count[f"{cause}/{kind}"] += 1
 
     def on_routing_tx(self, t: float, bits: float) -> None:
         if t >= self.t_start:
@@ -127,9 +82,9 @@ class MetricsCollector:
             "overhead": overhead,
             "routing_bits": self.routing_bits,
             "power": power(throughput, p90),
-            "generated": self.generated_count,
-            "delivered": self.delivered_count,
-            "dropped": self.dropped_count,
+            "generated": dict(self.generated_count),
+            "delivered": dict(self.delivered_count),
+            "dropped": dict(self.dropped_count),
         }
 
     def delay_histogram(self, n_bins: int = 24) -> dict:

@@ -1,18 +1,16 @@
 """The communication network model: store-and-forward nodes, two-priority
-FIFO link queues over a shared buffer, packet lifecycle."""
+FIFO link queues over a shared buffer, packet lifecycle, sessions."""
 
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Dict, Optional, Tuple
 
 from antsim.engine import Simulator
 from antsim.metrics import MetricsCollector
 from antsim.routing import LinkCostEstimator, RoutingAlgorithm
 from antsim.topology import Link, Topology
-
-# Session lives in traffic.py; perfbench/tracer.py hooks it under this module.
-from antsim.traffic import Session  # noqa: F401
 
 DATA = "data"
 FORWARD_ANT = "forward_ant"
@@ -221,3 +219,50 @@ class Network:
         nxt = self.algorithm.select_next_hop(node, packet)
         self.enqueue_for_link(node, self.ports[(node, nxt)], packet, False)
 
+
+class Session:
+    """One traffic session: a stream of data packets from src to dst.
+
+    The stream type picks the size and interval draws once, at construction:
+    CBR sends ``mean_packet_bits`` every ``mpia_s``, and GVBR draws both from
+    exponentials with those means."""
+
+    def __init__(
+        self,
+        net: Network,
+        src: int,
+        dst: int,
+        stream: str,  # "CBR" | "GVBR"
+        mpia_s: float,
+        mean_packet_bits: float,
+        packets_remaining: Optional[int],  # None = until end_time
+        end_time: float,
+        size_rng,
+        interval_rng,
+    ):
+        self.net = net
+        self.src = src
+        self.dst = dst
+        self.packets_remaining = packets_remaining
+        self.end_time = end_time
+        if stream == "CBR":
+            self._interval = lambda: mpia_s
+            self._size = lambda: mean_packet_bits
+        else:
+            self._interval = partial(interval_rng.expovariate, 1.0 / mpia_s)
+            self._size = partial(size_rng.expovariate, 1.0 / mean_packet_bits)
+
+    def start(self) -> None:
+        self.net.sim.schedule(self.net.sim.now + self._interval(), self._generate)
+
+    def _generate(self) -> None:
+        net = self.net
+        now = net.sim.now
+        if now > self.end_time:
+            return
+        if self.packets_remaining is not None:
+            if self.packets_remaining <= 0:
+                return
+            self.packets_remaining -= 1
+        net.inject_data(self.src, self.dst, self._size())
+        net.sim.schedule(now + self._interval(), self._generate)

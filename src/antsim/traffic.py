@@ -4,13 +4,10 @@ temporary hot spots), spatial distributions and per-session bit streams."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
+from antsim.network import Network, Session
 from antsim.topology import Topology
-
-if TYPE_CHECKING:  # network.py imports this module to re-export Session
-    from antsim.network import Network
 
 DEFAULT_MEAN_PACKET_BITS = 4096.0
 DEFAULT_PACKETS_PER_SESSION = 50
@@ -63,54 +60,6 @@ class TrafficSpec:
         for pair in self.fixed_pairs or ():
             if len(pair) != 2 or pair[0] == pair[1] or not nodes.issuperset(pair):
                 raise ValueError(f"fixed_pairs: {pair!r} must name two distinct nodes")
-
-
-class Session:
-    """One traffic session: a stream of data packets from src to dst.
-
-    The stream type picks the size and interval draws once, at construction:
-    CBR sends ``mean_packet_bits`` every ``mpia_s``, and GVBR draws both from
-    exponentials with those means."""
-
-    def __init__(
-        self,
-        net: Network,
-        src: int,
-        dst: int,
-        stream: str,  # "CBR" | "GVBR"
-        mpia_s: float,
-        mean_packet_bits: float,
-        packets_remaining: Optional[int],  # None = until end_time
-        end_time: float,
-        size_rng,
-        interval_rng,
-    ):
-        self.net = net
-        self.src = src
-        self.dst = dst
-        self.packets_remaining = packets_remaining
-        self.end_time = end_time
-        if stream == "CBR":
-            self._interval = lambda: mpia_s
-            self._size = lambda: mean_packet_bits
-        else:
-            self._interval = partial(interval_rng.expovariate, 1.0 / mpia_s)
-            self._size = partial(size_rng.expovariate, 1.0 / mean_packet_bits)
-
-    def start(self) -> None:
-        self.net.sim.schedule(self.net.sim.now + self._interval(), self._generate)
-
-    def _generate(self) -> None:
-        net = self.net
-        now = net.sim.now
-        if now > self.end_time:
-            return
-        if self.packets_remaining is not None:
-            if self.packets_remaining <= 0:
-                return
-            self.packets_remaining -= 1
-        net.inject_data(self.src, self.dst, self._size())
-        net.sim.schedule(now + self._interval(), self._generate)
 
 
 class TrafficSource:

@@ -109,22 +109,16 @@ def test_routing_bits_before_measurement_ignored():
     assert m.routing_bits == 1000
 
 
-class DefaultdictCollector:
-    """Oracle: the collector as first written, counting in string-keyed
-    ``defaultdict`` entries, with an f-string ``"cause/kind"`` key per drop
-    and a ``_widx`` call per windowed sample."""
-
-    window_s = 5.0
+class WidxCollector(MetricsCollector):
+    """Oracle: the counters and per-packet hooks as first written, with
+    string-keyed ``defaultdict`` counters and a ``_widx`` call per windowed
+    sample; the readout methods are the collector's own."""
 
     def __init__(self, t_start=0.0):
-        self.t_start = t_start
+        super().__init__(t_start)
         self.generated_count = defaultdict(int)
         self.delivered_count = defaultdict(int)
-        self.delivered_bits_total = 0.0
-        self.delay_samples = []
         self.dropped_count = defaultdict(int)
-        self.routing_bits = 0.0
-        self._windows = defaultdict(lambda: [0.0, 0.0, 0, 0.0])
 
     def _widx(self, t):
         return int((t - self.t_start) / self.window_s)
@@ -148,74 +142,6 @@ class DefaultdictCollector:
     def on_dropped(self, cause, kind):
         self.dropped_count[f"{cause}/{kind}"] += 1
 
-    def on_routing_tx(self, t, bits):
-        if t >= self.t_start:
-            self.routing_bits += bits
-
-    def percentile(self, p):
-        if not self.delay_samples:
-            return None
-        ordered = sorted(self.delay_samples)
-        rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-        return ordered[rank - 1]
-
-    def summarize(self, run_end, total_link_bw_bps):
-        measured = run_end - self.t_start
-        throughput = self.delivered_bits_total / measured if measured > 0 else 0.0
-        p50 = self.percentile(50)
-        p90 = self.percentile(90)
-        mean_delay = (
-            sum(self.delay_samples) / len(self.delay_samples) if self.delay_samples else None
-        )
-        overhead = (
-            self.routing_bits / (total_link_bw_bps * measured) if measured > 0 else 0.0
-        )
-        return {
-            "measured_s": measured,
-            "throughput_bps": throughput,
-            "delivered_data_bits": self.delivered_bits_total,
-            "delay_mean_s": mean_delay,
-            "delay_p50_s": p50,
-            "delay_p90_s": p90,
-            "delay_histogram": self.delay_histogram(),
-            "delay_samples": len(self.delay_samples),
-            "overhead": overhead,
-            "routing_bits": self.routing_bits,
-            "power": power(throughput, p90),
-            "generated": dict(self.generated_count),
-            "delivered": dict(self.delivered_count),
-            "dropped": dict(self.dropped_count),
-        }
-
-    def delay_histogram(self, n_bins=24):
-        lo, hi = 1e-4, 1e2
-        edges = [lo * (hi / lo) ** (i / n_bins) for i in range(n_bins + 1)]
-        counts = [0] * (n_bins + 2)
-        for d in self.delay_samples:
-            if d < lo:
-                counts[0] += 1
-            elif d >= hi:
-                counts[-1] += 1
-            else:
-                i = int(n_bins * math.log(d / lo) / math.log(hi / lo))
-                counts[1 + min(i, n_bins - 1)] += 1
-        return {"bin_edges_s": edges, "counts": counts}
-
-    def windowed_series(self, run_end):
-        n = max(1, math.ceil((run_end - self.t_start) / self.window_s))
-        rows = []
-        for i in range(n):
-            bits, dsum, dcnt, gen = self._windows.get(i, [0.0, 0.0, 0, 0.0])
-            rows.append(
-                {
-                    "time_s": self.t_start + (i + 1) * self.window_s,
-                    "throughput_bps": bits / self.window_s,
-                    "mean_delay_s": dsum / dcnt if dcnt else None,
-                    "offered_bps": gen / self.window_s,
-                }
-            )
-        return rows
-
 
 def assert_same_readouts(new, old, run_end):
     assert json.dumps(new.summarize(run_end, 3e7), sort_keys=True) == json.dumps(
@@ -228,10 +154,10 @@ def assert_same_readouts(new, old, run_end):
         assert all(counts[k] == n and counts.get(k) == n for k, n in want.items()), name
 
 
-def test_counters_match_defaultdict_collector():
+def test_hooks_match_widx_collector():
     rng = random.Random("metrics-oracle")
     t_start = 7.5
-    new, old = MetricsCollector(t_start), DefaultdictCollector(t_start)
+    new, old = MetricsCollector(t_start), WidxCollector(t_start)
     # times on, just before and just after t_start and every window edge
     edges = [t_start + k * MetricsCollector.window_s for k in range(7)]
     near = [t for e in edges for t in (e, math.nextafter(e, 0.0), math.nextafter(e, 50.0))]
@@ -257,3 +183,6 @@ def test_counters_match_defaultdict_collector():
     assert_same_readouts(new, old, 40.0)
     assert_same_readouts(new, old, 33.0)  # a run that ends mid-window
     assert min(calls.values()) > 800, calls
+    # a kind or drop that never happened reads 0, as perfbench's readers expect
+    for name in ("generated_count", "delivered_count", "dropped_count"):
+        assert getattr(new, name)["never/counted"] == 0, name

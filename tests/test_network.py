@@ -8,10 +8,10 @@ from antsim.network import (
     ROUTING_INFO,
     Network,
     Packet,
+    Session,
 )
 from antsim.routing import LinkCostEstimator, RoutingAlgorithm
 from antsim.topology import builtin_topology, from_edge_list
-from antsim.traffic import Session
 
 
 class FixedNextHop(RoutingAlgorithm):
