@@ -1,12 +1,14 @@
 """Golden-output lock: short trials of every algorithm must keep their bytes.
 
-Each case runs one trial and hashes the three result files. The digests in
+Each case runs one trial and hashes the three result files, and the order of
+the trial's observable calls (``CallRecorder``). The digests in
 ``golden_digests.json`` were recorded before the code they guard was
 refactored; a refactor must leave them unchanged. A change that alters
 behaviour on purpose re-records them with
 ``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -15,12 +17,15 @@ import tempfile
 import pytest
 
 from antsim.cli import ALGORITHMS, ExperimentConfig, run_experiment
+from antsim.network import DATA, Network, Packet
+from antsim.routing import RoutingAlgorithm
 
 DIGESTS_PATH = os.path.join(os.path.dirname(__file__), "golden_digests.json")
 FILES = ("trial_0.json", "trial_0_series.csv", "aggregate.json")
 UP_TRAFFIC = {"temporal": "P", "spatial": "U", "stream": "GVBR", "msia_s": 1.0}
 # a hot spot at node 4 from 1 s to 5 s after warm-up fills its queues, so the
-# feedback learners run beside deep queues and TTL drops
+# feedback learners run beside deep queues; no packet is old enough to expire
+# within the 6 s run, as the TTL is 15 s
 HOTSPOT_TRAFFIC = {
     **UP_TRAFFIC,
     "temporal": "TMPHS",
@@ -30,32 +35,103 @@ HOTSPOT_TRAFFIC = {
     "hot_spot_on_s": 1.0,
     "hot_spot_off_s": 5.0,
 }
-# case name -> (topology, traffic, algorithms); the name keys golden_digests.json
+# the same hot spot held on from 1 s to 16 s of a 19 s run, long enough for
+# data packets to pass the 15 s TTL, so the lock covers TTL drops
+TTL_TRAFFIC = {**HOTSPOT_TRAFFIC, "hot_spot_off_s": 16.0}
+# case name -> (topology, traffic, run length in s, algorithms); the name keys
+# golden_digests.json
 CASES = {
-    "simplenet": ("simplenet", UP_TRAFFIC, sorted(ALGORITHMS)),
-    "nsfnet": ("nsfnet", UP_TRAFFIC, sorted(ALGORITHMS)),
-    "nsfnet-hotspot": ("nsfnet", HOTSPOT_TRAFFIC, ["pqr", "qr"]),
-    "nttnet": ("nttnet", UP_TRAFFIC, ["bf", "spf"]),
+    "simplenet": ("simplenet", UP_TRAFFIC, 6.0, sorted(ALGORITHMS)),
+    "nsfnet": ("nsfnet", UP_TRAFFIC, 6.0, sorted(ALGORITHMS)),
+    "nsfnet-hotspot": ("nsfnet", HOTSPOT_TRAFFIC, 6.0, ["pqr", "qr"]),
+    "nttnet": ("nttnet", UP_TRAFFIC, 6.0, ["bf", "spf"]),
+    "nsfnet-hotspot-ttl": ("nsfnet", TTL_TRAFFIC, 19.0, ["bf", "pqr"]),
 }
 # ospf's default 30 s interval would flood nothing within the 9 s trial
 ALGORITHM_PARAMS = {"ospf": {"broadcast_interval_s": 2.0}}
 
 
+ALGORITHM_HOOKS = ("select_next_hop", "on_data_arrival", "on_routing_packet", "on_ant")
+METRICS_HOOKS = ("on_generated", "on_delivered", "on_dropped", "on_routing_tx")
+
+
+def _token(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, Packet):
+        return (value.kind, value.src, value.dst, value.created_at.hex(), float(value.size).hex())
+    return value
+
+
+class CallRecorder:
+    """SHA-256 of a trial's observable calls, in call order.
+
+    Each call adds ``(sim.now.hex(), hook, args)``, with floats as hex and a
+    packet as its kind, ends, creation time and size. The hooks are the four
+    ``MetricsCollector.on_*`` calls and those of ``ALGORITHM_HOOKS`` that the
+    algorithm's class overrides: a base no-op has no effect, so leaving it out
+    keeps the hash still when the network stops making a call that does
+    nothing. For a delivery of anything but data the delay is left out, as
+    the collector discards it. The hash moves when a call moves in time, two
+    equal-time calls swap, or an argument changes, which the result files
+    need not show.
+    """
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def install(self, net: Network, algo: RoutingAlgorithm) -> None:
+        for hook in ALGORITHM_HOOKS:
+            if getattr(type(algo), hook) is not getattr(RoutingAlgorithm, hook):
+                setattr(algo, hook, self._wrap(net, hook, getattr(algo, hook)))
+        for hook in METRICS_HOOKS:
+            setattr(net.metrics, hook, self._wrap(net, hook, getattr(net.metrics, hook)))
+
+    def _wrap(self, net: Network, hook: str, fn):
+        update = self.sha.update
+        sim = net.sim
+
+        def recorded(*args):
+            logged = args[:3] if hook == "on_delivered" and args[1] != DATA else args
+            update(repr((sim.now.hex(), hook, tuple(map(_token, logged)))).encode())
+            return fn(*args)
+
+        return recorded
+
+
+@contextlib.contextmanager
+def recording_calls():
+    """Install a fresh ``CallRecorder`` on every network that gets an algorithm."""
+    recorder = CallRecorder()
+    set_algorithm = Network.set_algorithm
+
+    def recording_set_algorithm(net, algo):
+        recorder.install(net, algo)
+        set_algorithm(net, algo)
+
+    Network.set_algorithm = recording_set_algorithm
+    try:
+        yield recorder
+    finally:
+        Network.set_algorithm = set_algorithm
+
+
 def golden_digests(case: str, algorithm: str, out_dir: str) -> dict:
-    topology, traffic, _ = CASES[case]
+    topology, traffic, run_length_s, _ = CASES[case]
     cfg = ExperimentConfig(
         topology=topology,
         algorithm=algorithm,
         traffic=dict(traffic),
         warmup_s=3.0,
-        run_length_s=6.0,
+        run_length_s=run_length_s,
         trials=1,
         master_seed=7,
         algorithm_params=dict(ALGORITHM_PARAMS.get(algorithm, {})),
         out_dir=out_dir,
     )
-    run_experiment(cfg)
-    digests = {}
+    with recording_calls() as recorder:
+        run_experiment(cfg)
+    digests = {"calls": recorder.sha.hexdigest()}
     for name in FILES:
         with open(os.path.join(out_dir, algorithm, name), "rb") as fh:
             digests[name] = hashlib.sha256(fh.read()).hexdigest()
@@ -64,7 +140,7 @@ def golden_digests(case: str, algorithm: str, out_dir: str) -> dict:
 
 @pytest.mark.parametrize(
     "case,algorithm",
-    [(case, algorithm) for case, (_, _, algorithms) in CASES.items() for algorithm in algorithms],
+    [(case, algorithm) for case, (*_, algorithms) in CASES.items() for algorithm in algorithms],
     ids=lambda value: value,
 )
 def test_golden_outputs_unchanged(tmp_path, case, algorithm):
@@ -76,7 +152,7 @@ def test_golden_outputs_unchanged(tmp_path, case, algorithm):
 if __name__ == "__main__":
     # Re-record the digests from the current code.
     table = {}
-    for case, (_, _, algorithms) in CASES.items():
+    for case, (*_, algorithms) in CASES.items():
         for algorithm in algorithms:
             with tempfile.TemporaryDirectory() as out_dir:
                 table[f"{case}/{algorithm}"] = golden_digests(case, algorithm, out_dir)
