@@ -82,7 +82,31 @@ class Port:
 
 
 class Network:
-    """Event-driven network owned by a single simulator instance."""
+    """Event-driven network owned by a single simulator instance.
+
+    A data packet's visit to a node on its way is one event when its arrival
+    has no observable effect: under an algorithm that does not override
+    ``on_data_arrival`` (decided in ``set_algorithm``), for a packet not at
+    its destination and within its TTL on arrival. ``_tx_done`` then
+    schedules ``_transit`` at the arrival time plus the service delay, which
+    sets ``prev_node`` and ``node_arrival`` as the arrival would have and
+    calls ``dispatch``.
+
+    Every other arrival is a ``_arrive`` event at the arrival time, and a
+    second event after the service or elaboration delay, because something
+    happens at arrival: a data delivery, a TTL drop (counted even when the
+    run ends before the delay is over), qr's and pqr's ``on_data_arrival``
+    feedback, or a routing packet counted as delivered. Folding routing
+    packets would move that count, and the order of the calls around it, to
+    the end of the elaboration delay, and would lose it when the run ends in
+    between. Ants are not folded either. A folded event takes its place
+    among equal-time events when its transmission ends, not when it
+    arrives. Ants are launched on a shared clock and have fixed sizes, so
+    two of them can arrive a rounding step apart and finish their
+    elaboration at the same time; folded, they would reach ``on_ant`` in the
+    order their transmissions ended, not the order they arrived, which
+    changes AntNet's draws.
+    """
 
     buffer_bits = 1e9  # shared buffer of each node
     ttl_s = 15.0  # maximum packet age, for every packet kind
@@ -98,9 +122,15 @@ class Network:
         }
         self.total_bw_bps = sum(l.bandwidth_bps for l in topo.links)
         self.algorithm: Optional[RoutingAlgorithm] = None
+        self._local_data_hook = False  # call on_local_data per injected packet
+        self._fold_data = False  # data in transit skips the _arrive event
 
     def set_algorithm(self, algo: RoutingAlgorithm) -> None:
         self.algorithm = algo
+        # a hook left as the base no-op is never called
+        cls = type(algo)
+        self._local_data_hook = cls.on_local_data is not RoutingAlgorithm.on_local_data
+        self._fold_data = cls.on_data_arrival is RoutingAlgorithm.on_data_arrival
         algo.attach(self)
 
     def port(self, src: int, dst: int) -> Port:
@@ -112,7 +142,8 @@ class Network:
         now = self.sim.now
         packet = Packet(DATA, size, src, dst, now)
         self.metrics.on_generated(now, DATA, size)
-        self.algorithm.on_local_data(src, dst, size)
+        if self._local_data_hook:
+            self.algorithm.on_local_data(src, dst, size)
         self.sim.schedule(now + self.node_service_s, self.dispatch, src, packet)
 
     def send_ant(self, node: int, next_hop: int, packet: Packet) -> None:
@@ -177,7 +208,16 @@ class Network:
             # only data traffic feeds the utilization monitor; an abandoned
             # link keeps its last cost instead of decaying on idle chatter
             port.monitor.record(now - packet.port_enqueue, tx_time)
-        self.sim.schedule(now + port.prop_delay_s, self._arrive, port, packet)
+        t_arr = now + port.prop_delay_s
+        if (
+            self._fold_data
+            and packet.kind == DATA
+            and port.dst != packet.dst
+            and t_arr - packet.created_at <= self.ttl_s
+        ):
+            self.sim.schedule(t_arr + self.node_service_s, self._transit, port, packet, t_arr)
+        else:
+            self.sim.schedule(t_arr, self._arrive, port, packet)
         if port.hi or port.lo:
             self._start_tx(port, now)
 
@@ -204,12 +244,20 @@ class Network:
         packet.node_arrival = now
         algo = self.algorithm
         if kind == ROUTING_INFO:
-            self.metrics.on_delivered(now, ROUTING_INFO, packet.size, now - packet.created_at)
+            # the collector keeps the delay of data deliveries only
+            self.metrics.on_delivered(now, ROUTING_INFO, packet.size, 0.0)
             self.sim.schedule(now + algo.elab_s, algo.on_routing_packet, node, packet, from_node)
         elif now - packet.created_at > self.ttl_s:
             self.metrics.on_dropped("ttl", kind)
         else:
             self.sim.schedule(now + algo.elab_s, algo.on_ant, node, packet, from_node)
+
+    def _transit(self, port: Port, packet: Packet, t_arr: float) -> None:
+        """A data packet's arrival at ``t_arr``, which has no observable
+        effect, and its service delay, as one event (see ``Network``)."""
+        packet.prev_node = port.src
+        packet.node_arrival = t_arr
+        self.dispatch(port.dst, packet)
 
     def dispatch(self, node: int, packet: Packet) -> None:
         """Route a data packet out of ``node`` after its service delay."""

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from antsim.cli import ALGORITHMS
@@ -5,6 +7,7 @@ from antsim.engine import Simulator
 from antsim.metrics import MetricsCollector
 from antsim.network import (
     DATA,
+    FORWARD_ANT,
     ROUTING_INFO,
     Network,
     Packet,
@@ -23,17 +26,44 @@ class FixedNextHop(RoutingAlgorithm):
         return self.net.topo.neighbors(node)[0]
 
 
+class Onward(RoutingAlgorithm):
+    """Forwards toward the largest neighbor id: along a line, to its end."""
+
+    elab_s = 0.003
+
+    def select_next_hop(self, node, packet):
+        return self.net.topo.neighbors(node)[-1]
+
+
 def two_node_net(bandwidth=1.5e6, delay=0.004, **constants):
-    """``constants`` override Network's fixed model constants on the instance."""
+    return line_net(2, bandwidth, delay, FixedNextHop(), **constants)
+
+
+def line_net(n, bandwidth=1.5e6, delay=0.004, algo=None, **constants):
+    """Nodes 1..n in a line; ``constants`` override Network's fixed model
+    constants on the instance."""
     sim = Simulator()
-    topo = from_edge_list(2, [(1, 2)], bandwidth, delay)
+    topo = from_edge_list(n, [(u, u + 1) for u in range(1, n)], bandwidth, delay)
     metrics = MetricsCollector()
     net = Network(sim, topo, metrics)
     for name, value in constants.items():
         assert hasattr(Network, name), name
         setattr(net, name, value)
-    net.set_algorithm(FixedNextHop())
+    net.set_algorithm(algo or Onward())
     return sim, net, metrics
+
+
+def drop_times(sim, metrics):
+    """Record ``(sim.now, cause, kind)`` for every drop ``metrics`` counts."""
+    times = []
+    on_dropped = metrics.on_dropped
+
+    def record(cause, kind):
+        times.append((sim.now, cause, kind))
+        on_dropped(cause, kind)
+
+    metrics.on_dropped = record
+    return times
 
 
 def test_single_hop_timing_oracle():
@@ -158,6 +188,99 @@ def test_expired_packets_discarded_at_dequeue_without_using_link():
         v for k, v in metrics.dropped_count.items() if k.startswith("ttl/")
     )
     assert ttl_drops == 10 - len(times)
+
+
+TX_4096 = 4096 / 1.5e6  # transmission time of a 4096-bit packet
+
+
+def test_data_expiring_on_the_link_is_dropped_at_arrival():
+    # sent at 0.0003, the packet is 0.0030 s old when its last bit leaves
+    # node 1 and 0.0070 s old when it reaches node 2, on its way to node 3
+    sim, net, metrics = line_net(3, ttl_s=0.005)
+    drops = drop_times(sim, metrics)
+    net.inject_data(1, 3, 4096)
+    t_arr = (0.0 + Network.node_service_s + TX_4096) + 0.004
+    # the run ends at the arrival, before the service delay that follows it
+    sim.run_until(t_arr)
+    assert drops == [(t_arr, "ttl", DATA)]
+    sim.run_until(1.0)
+    assert len(drops) == 1 and metrics.delivered_count["data"] == 0
+
+
+def test_ant_expiring_on_the_link_is_dropped_at_arrival():
+    class AntSink(Onward):
+        def on_ant(self, node, packet, from_node):
+            seen.append(node)
+
+    seen = []
+    sim, net, metrics = line_net(2, algo=AntSink(), ttl_s=0.005)
+    drops = drop_times(sim, metrics)
+    net.send_ant(1, 2, Packet(FORWARD_ANT, 4096, 1, 2, 0.0))
+    t_arr = (0.0 + TX_4096) + 0.004
+    sim.run_until(t_arr)
+    assert drops == [(t_arr, "ttl", FORWARD_ANT)]
+    sim.run_until(1.0)
+    assert seen == [] and len(drops) == 1
+
+
+def test_ants_reach_on_ant_in_arrival_order_when_elaboration_ends_together():
+    class AntSink(Onward):
+        def on_ant(self, node, packet, from_node):
+            seen.append((self.net.sim.now, packet.src, from_node, packet.node_arrival))
+
+    seen = []
+    # ant b leaves node 3 first, over the slower link; ant a leaves node 1
+    # later and reaches node 2 one rounding step earlier
+    sim, net, _ = line_net(3, delay=[0.004, 0.01], algo=AntSink())
+    net.send_ant(3, 2, Packet(FORWARD_ANT, 4096, 3, 2, 0.0))
+    send_a = math.nextafter(0.006, 0.0)
+    sim.schedule(send_a, net.send_ant, 1, 2, Packet(FORWARD_ANT, 4096, 1, 2, send_a))
+    t_arr_a = (send_a + TX_4096) + 0.004
+    t_arr_b = (0.0 + TX_4096) + 0.01
+    t_on = t_arr_b + AntSink.elab_s
+    assert t_arr_a < t_arr_b and t_arr_a + AntSink.elab_s == t_on
+    sim.run_until(1.0)
+    # both elaborations end at t_on; on_ant follows the arrivals, not the
+    # order in which the transmissions ended
+    assert seen == [(t_on, 1, 1, t_arr_a), (t_on, 3, 3, t_arr_b)]
+
+
+def test_transit_costs_one_event_per_node_visit():
+    sim, net, metrics = line_net(4)
+    delivered = []
+    metrics.on_delivered = lambda t, kind, bits, delay: delivered.append(delay)
+    net.inject_data(1, 4, 4096)
+    # dispatch at node 1, then per hop the end of its transmission and the
+    # visit: a folded arrival and service at nodes 2 and 3, the delivery at 4
+    assert sim.run_until(1.0) == 1 + 2 * 3
+    expected = 3 * (Network.node_service_s + TX_4096 + 0.004)
+    assert len(delivered) == 1 and abs(delivered[0] - expected) < 1e-12
+
+
+def test_on_data_arrival_runs_at_arrival_before_node_arrival_moves():
+    class Watcher(Onward):
+        def on_data_arrival(self, node, packet, from_node):
+            seen.append((self.net.sim.now, node, from_node, packet.node_arrival))
+
+    seen = []
+    sim, net, _ = line_net(3, algo=Watcher())
+    net.inject_data(1, 3, 4096)
+    sim.run_until(1.0)
+    t_arr2 = (0.0 + Network.node_service_s + TX_4096) + 0.004
+    t_arr3 = (t_arr2 + Network.node_service_s + TX_4096) + 0.004
+    assert seen == [(t_arr2, 2, 1, 0.0), (t_arr3, 3, 2, t_arr2)]
+
+
+def test_on_local_data_reaches_an_algorithm_that_overrides_it():
+    class Listener(Onward):
+        def on_local_data(self, node, dst, bits):
+            seen.append((node, dst, bits))
+
+    seen = []
+    sim, net, _ = line_net(3, algo=Listener())
+    net.inject_data(1, 3, 4096)
+    net.inject_data(2, 3, 512)
+    assert seen == [(1, 3, 4096), (2, 3, 512)]
 
 
 def test_packet_conservation_across_kinds():
