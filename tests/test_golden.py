@@ -38,17 +38,22 @@ HOTSPOT_TRAFFIC = {
 # the same hot spot held on from 1 s to 16 s of a 19 s run, long enough for
 # data packets to pass the 15 s TTL, so the lock covers TTL drops
 TTL_TRAFFIC = {**HOTSPOT_TRAFFIC, "hot_spot_off_s": 16.0}
-# case name -> (topology, traffic, run length in s, algorithms); the name keys
-# golden_digests.json
-CASES = {
-    "simplenet": ("simplenet", UP_TRAFFIC, 6.0, sorted(ALGORITHMS)),
-    "nsfnet": ("nsfnet", UP_TRAFFIC, 6.0, sorted(ALGORITHMS)),
-    "nsfnet-hotspot": ("nsfnet", HOTSPOT_TRAFFIC, 6.0, ["pqr", "qr"]),
-    "nttnet": ("nttnet", UP_TRAFFIC, 6.0, ["bf", "spf"]),
-    "nsfnet-hotspot-ttl": ("nsfnet", TTL_TRAFFIC, 19.0, ["bf", "pqr"]),
-}
 # ospf's default 30 s interval would flood nothing within the 9 s trial
-ALGORITHM_PARAMS = {"ospf": {"broadcast_interval_s": 2.0}}
+OSPF_PARAMS = {"ospf": {"broadcast_interval_s": 2.0}}
+# ants launched every 6 ms share a clock and have fixed sizes, so two of them
+# can reach a node a rounding step apart; the case locks the order in which
+# AntNet sees them
+FREQUENT_ANTS = {"antnet": {"launch_interval_s": 0.006}}
+# case name -> (topology, traffic, run length in s, algorithms, algorithm
+# params); the name keys golden_digests.json
+CASES = {
+    "simplenet": ("simplenet", UP_TRAFFIC, 6.0, sorted(ALGORITHMS), OSPF_PARAMS),
+    "nsfnet": ("nsfnet", UP_TRAFFIC, 6.0, sorted(ALGORITHMS), OSPF_PARAMS),
+    "nsfnet-hotspot": ("nsfnet", HOTSPOT_TRAFFIC, 6.0, ["pqr", "qr"], {}),
+    "nttnet": ("nttnet", UP_TRAFFIC, 6.0, ["bf", "spf"], {}),
+    "nsfnet-hotspot-ttl": ("nsfnet", TTL_TRAFFIC, 19.0, ["bf", "pqr"], {}),
+    "nsfnet-ants": ("nsfnet", UP_TRAFFIC, 6.0, ["antnet"], FREQUENT_ANTS),
+}
 
 
 ALGORITHM_HOOKS = ("select_next_hop", "on_data_arrival", "on_routing_packet", "on_ant")
@@ -117,7 +122,7 @@ def recording_calls():
 
 
 def golden_digests(case: str, algorithm: str, out_dir: str) -> dict:
-    topology, traffic, run_length_s, _ = CASES[case]
+    topology, traffic, run_length_s, _, params = CASES[case]
     cfg = ExperimentConfig(
         topology=topology,
         algorithm=algorithm,
@@ -126,7 +131,7 @@ def golden_digests(case: str, algorithm: str, out_dir: str) -> dict:
         run_length_s=run_length_s,
         trials=1,
         master_seed=7,
-        algorithm_params=dict(ALGORITHM_PARAMS.get(algorithm, {})),
+        algorithm_params=dict(params.get(algorithm, {})),
         out_dir=out_dir,
     )
     with recording_calls() as recorder:
@@ -140,7 +145,7 @@ def golden_digests(case: str, algorithm: str, out_dir: str) -> dict:
 
 @pytest.mark.parametrize(
     "case,algorithm",
-    [(case, algorithm) for case, (*_, algorithms) in CASES.items() for algorithm in algorithms],
+    [(case, algorithm) for case, (*_, algorithms, _) in CASES.items() for algorithm in algorithms],
     ids=lambda value: value,
 )
 def test_golden_outputs_unchanged(tmp_path, case, algorithm):
@@ -152,7 +157,7 @@ def test_golden_outputs_unchanged(tmp_path, case, algorithm):
 if __name__ == "__main__":
     # Re-record the digests from the current code.
     table = {}
-    for case, (*_, algorithms) in CASES.items():
+    for case, (*_, algorithms, _) in CASES.items():
         for algorithm in algorithms:
             with tempfile.TemporaryDirectory() as out_dir:
                 table[f"{case}/{algorithm}"] = golden_digests(case, algorithm, out_dir)
