@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Tuple
 
-from antsim.network import BACKWARD_ANT, FORWARD_ANT, Packet
+from antsim.network import BACKWARD_ANT, FORWARD_ANT, Packet, Port
 from antsim.routing import RoutingAlgorithm
 
 ANT_BASE_BYTES = 24
@@ -143,6 +143,9 @@ class AntNetRouting(RoutingAlgorithm):
         self.nbr_index: Dict[int, Dict[int, int]] = {
             u: {n: i for i, n in enumerate(nbrs)} for u, nbrs in self.neighbors.items()
         }
+        self.nbr_ports: Dict[int, List[Port]] = {
+            u: [net.ports[(u, n)] for n in nbrs] for u, nbrs in self.neighbors.items()
+        }
         # Routing tables start uniform per destination.
         self.tables: Dict[int, Dict[int, List[float]]] = {}
         for u in topo.nodes:
@@ -235,8 +238,7 @@ class AntNetRouting(RoutingAlgorithm):
 
     def forward_probabilities(self, node: int, dst: int) -> List[float]:
         """Routing-table row blended with the instantaneous queue heuristic."""
-        nbrs = self.neighbors[node]
-        queue_bits = [self.net.port(node, n).lo_bits for n in nbrs]
+        queue_bits = [port.lo_bits for port in self.nbr_ports[node]]
         heuristic = queue_heuristic(queue_bits)
         return blend_probabilities(self.tables[node][dst], heuristic, HEURISTIC_WEIGHT)
 

@@ -64,7 +64,6 @@ class _LinkStateBase(_PeriodicBroadcast):
     def attach(self, net) -> None:
         self.net = net
         topo = net.topo
-        self.seq: Dict[int, int] = {u: 0 for u in topo.nodes}
         self.lsdb_seen: Dict[int, Dict[int, int]] = {u: {} for u in topo.nodes}
         self.lsdb: Dict[int, Dict[int, Dict[int, float]]] = {u: {} for u in topo.nodes}
         self.tables: Dict[int, Dict[int, int]] = {u: {} for u in topo.nodes}
@@ -76,11 +75,12 @@ class _LinkStateBase(_PeriodicBroadcast):
         raise NotImplementedError
 
     def _broadcast(self, node: int) -> None:
-        self.seq[node] += 1
+        # a node installs its own LSA when it sends it, and echoes are stale
+        seq = self.lsdb_seen[node].get(node, 0) + 1
         costs = self._link_costs(node)
-        payload = ("lsa", node, self.seq[node], costs)
+        payload = ("lsa", node, seq, costs)
         size = (LSA_BASE_BYTES + LSA_BYTES_PER_NEIGHBOR * len(costs)) * 8
-        self._install(node, node, self.seq[node], costs)
+        self._install(node, node, seq, costs)
         for link in self.net.topo.out_links[node]:
             self.net.send_routing(node, link.dst, size, payload)
 
@@ -153,7 +153,7 @@ class SpfRouting(_LinkStateBase):
 
     def _link_costs(self, node: int) -> Dict[int, float]:
         return {
-            l.dst: float(self.net.port(node, l.dst).monitor.close_window())
+            l.dst: float(self.net.ports[(node, l.dst)].monitor.close_window())
             for l in self.net.topo.out_links[node]
         }
 
@@ -184,7 +184,7 @@ class BfRouting(_PeriodicBroadcast):
         table = self.cost_tables[node]
         for link in self.net.topo.out_links[node]:
             table.set_link_cost(
-                link.dst, float(self.net.port(node, link.dst).monitor.close_window())
+                link.dst, float(self.net.ports[(node, link.dst)].monitor.close_window())
             )
         vector = table.distance_vector()
         for link in self.net.topo.out_links[node]:
@@ -370,7 +370,7 @@ class DaemonRouting(RoutingAlgorithm):
 
     def link_cost(self, link, packet_bits: float) -> float:
         """Cost of one link, as ``select_next_hop`` prices it inline."""
-        port = self.net.port(link.src, link.dst)
+        port = self.net.ports[(link.src, link.dst)]
         s_q = port.all_bits
         s_bar = self.smoothed_queue[self.ports.index(port)]
         return (

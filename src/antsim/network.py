@@ -4,8 +4,7 @@ FIFO link queues over a shared buffer, packet lifecycle, sessions."""
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from antsim.engine import Simulator
 from antsim.metrics import MetricsCollector
@@ -87,10 +86,10 @@ class Network:
     A data packet's visit to a node on its way is one event when its arrival
     has no observable effect: under an algorithm that does not override
     ``on_data_arrival`` (decided in ``set_algorithm``), for a packet not at
-    its destination and within its TTL on arrival. ``_tx_done`` then
-    schedules ``_transit`` at the arrival time plus the service delay, which
-    sets ``prev_node`` and ``node_arrival`` as the arrival would have and
-    calls ``dispatch``.
+    its destination and within its TTL on arrival. When its transmission
+    ends, ``_tx_done`` sets ``prev_node`` and ``node_arrival`` as the arrival
+    would have, and schedules ``dispatch`` at the arrival time plus the
+    service delay.
 
     Every other arrival is a ``_arrive`` event at the arrival time, and a
     second event after the service or elaboration delay, because something
@@ -123,18 +122,15 @@ class Network:
         self.total_bw_bps = sum(l.bandwidth_bps for l in topo.links)
         self.algorithm: Optional[RoutingAlgorithm] = None
         self._local_data_hook = False  # call on_local_data per injected packet
-        self._fold_data = False  # data in transit skips the _arrive event
+        self._arrival_hook = False  # call on_data_arrival per data arrival
 
     def set_algorithm(self, algo: RoutingAlgorithm) -> None:
         self.algorithm = algo
         # a hook left as the base no-op is never called
         cls = type(algo)
         self._local_data_hook = cls.on_local_data is not RoutingAlgorithm.on_local_data
-        self._fold_data = cls.on_data_arrival is RoutingAlgorithm.on_data_arrival
+        self._arrival_hook = cls.on_data_arrival is not RoutingAlgorithm.on_data_arrival
         algo.attach(self)
-
-    def port(self, src: int, dst: int) -> Port:
-        return self.ports[(src, dst)]
 
     # -- packet entry points ------------------------------------------------
 
@@ -210,12 +206,15 @@ class Network:
             port.monitor.record(now - packet.port_enqueue, tx_time)
         t_arr = now + port.prop_delay_s
         if (
-            self._fold_data
+            not self._arrival_hook
             and packet.kind == DATA
             and port.dst != packet.dst
             and t_arr - packet.created_at <= self.ttl_s
         ):
-            self.sim.schedule(t_arr + self.node_service_s, self._transit, port, packet, t_arr)
+            # nothing reads these two fields while the packet is on the link
+            packet.prev_node = port.src
+            packet.node_arrival = t_arr
+            self.sim.schedule(t_arr + self.node_service_s, self.dispatch, port.dst, packet)
         else:
             self.sim.schedule(t_arr, self._arrive, port, packet)
         if port.hi or port.lo:
@@ -230,9 +229,10 @@ class Network:
         packet.prev_node = from_node
         kind = packet.kind
         if kind == DATA:
-            # hook runs while node_arrival still refers to the previous node,
-            # so per-hop residence time is measurable (feedback-based routing)
-            self.algorithm.on_data_arrival(node, packet, from_node)
+            if self._arrival_hook:
+                # hook runs while node_arrival still refers to the previous node,
+                # so per-hop residence time is measurable (feedback-based routing)
+                self.algorithm.on_data_arrival(node, packet, from_node)
             packet.node_arrival = now
             if now - packet.created_at > self.ttl_s:
                 self.metrics.on_dropped("ttl", DATA)
@@ -252,13 +252,6 @@ class Network:
         else:
             self.sim.schedule(now + algo.elab_s, algo.on_ant, node, packet, from_node)
 
-    def _transit(self, port: Port, packet: Packet, t_arr: float) -> None:
-        """A data packet's arrival at ``t_arr``, which has no observable
-        effect, and its service delay, as one event (see ``Network``)."""
-        packet.prev_node = port.src
-        packet.node_arrival = t_arr
-        self.dispatch(port.dst, packet)
-
     def dispatch(self, node: int, packet: Packet) -> None:
         """Route a data packet out of ``node`` after its service delay."""
         if self.sim.now - packet.created_at > self.ttl_s:
@@ -271,34 +264,27 @@ class Network:
 class Session:
     """One traffic session: a stream of data packets from src to dst.
 
-    The stream type picks the size and interval draws once, at construction:
-    CBR sends ``mean_packet_bits`` every ``mpia_s``, and GVBR draws both from
-    exponentials with those means."""
+    ``interval`` and ``size`` are called once per packet for the gap to the
+    next packet and the packet's bits; ``traffic.TrafficSource`` picks them
+    from the stream type."""
 
     def __init__(
         self,
         net: Network,
         src: int,
         dst: int,
-        stream: str,  # "CBR" | "GVBR"
-        mpia_s: float,
-        mean_packet_bits: float,
+        interval: Callable[[], float],
+        size: Callable[[], float],
         packets_remaining: Optional[int],  # None = until end_time
         end_time: float,
-        size_rng,
-        interval_rng,
     ):
         self.net = net
         self.src = src
         self.dst = dst
+        self._interval = interval
+        self._size = size
         self.packets_remaining = packets_remaining
         self.end_time = end_time
-        if stream == "CBR":
-            self._interval = lambda: mpia_s
-            self._size = lambda: mean_packet_bits
-        else:
-            self._interval = partial(interval_rng.expovariate, 1.0 / mpia_s)
-            self._size = partial(size_rng.expovariate, 1.0 / mean_packet_bits)
 
     def start(self) -> None:
         self.net.sim.schedule(self.net.sim.now + self._interval(), self._generate)

@@ -4,6 +4,7 @@ temporary hot spots), spatial distributions and per-session bit streams."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Tuple
 
 from antsim.network import Network, Session
@@ -75,6 +76,12 @@ class TrafficSource:
         self.endpoint_rng = sim.stream("session_endpoints")
         self.size_rng = sim.stream("packet_sizes")
         self.interval_rng = sim.stream("packet_intervals")
+        # CBR sends mean_packet_bits every mpia_s; GVBR draws both from
+        # exponentials with those means
+        if spec.stream == "CBR":
+            self._size = lambda: spec.mean_packet_bits
+        else:
+            self._size = partial(self.size_rng.expovariate, 1.0 / spec.mean_packet_bits)
         nodes = net.topo.nodes
         # Per-node session inter-arrival means: identical for U, randomized
         # multipliers in [0.5, 1.5] for R, drawn once per trial.
@@ -148,15 +155,16 @@ class TrafficSource:
         self, src: int, dst: int, mpia_s: float, persistent: bool, until: Optional[float] = None
     ) -> None:
         spec = self.spec
+        if spec.stream == "CBR":
+            interval = lambda: mpia_s
+        else:
+            interval = partial(self.interval_rng.expovariate, 1.0 / mpia_s)
         Session(
             self.net,
             src,
             dst,
-            stream=spec.stream,
-            mpia_s=mpia_s,
-            mean_packet_bits=spec.mean_packet_bits,
+            interval,
+            self._size,
             packets_remaining=None if persistent else spec.packets_per_session,
             end_time=min(self.t_end, until) if until is not None else self.t_end,
-            size_rng=self.size_rng,
-            interval_rng=self.interval_rng,
         ).start()

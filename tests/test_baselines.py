@@ -402,7 +402,7 @@ def test_daemon_cost_oracle():
     topo = from_edge_list(2, [(1, 2)], 1.5e6, 0.001)
     sim, net, _ = build(DaemonRouting(), topo=topo)
     algo = net.algorithm
-    port = net.port(1, 2)
+    port = net.ports[(1, 2)]
     port.all_bits = 8192.0
     ((dst, _, _, edge_port, index),) = algo.edges[1]
     assert dst == 2 and edge_port is port
@@ -445,7 +445,7 @@ def test_daemon_fast_path_matches_reference(topo_name, params):
 
 def test_daemon_rejects_nonpositive_cost():
     sim, net, _ = build(DaemonRouting())
-    net.port(1, 2).all_bits = -1e12
+    net.ports[(1, 2)].all_bits = -1e12
     with pytest.raises(ValueError, match="nonpositive cost on link 1->2"):
         net.algorithm.select_next_hop(1, Packet(DATA, 4096, 1, 6, 0.0))
 
@@ -464,7 +464,7 @@ def test_daemon_routes_around_congestion():
     sim, net, _ = build(DaemonRouting())
     algo = net.algorithm
     # load the queue on the 1->3 entry of the shortest path heavily
-    net.port(1, 3).all_bits = 5e6
+    net.ports[(1, 3)].all_bits = 5e6
     p = Packet(DATA, 4096, 1, 6, 0.0)
     assert algo.select_next_hop(1, p) == 8
 

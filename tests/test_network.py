@@ -271,6 +271,19 @@ def test_on_data_arrival_runs_at_arrival_before_node_arrival_moves():
     assert seen == [(t_arr2, 2, 1, 0.0), (t_arr3, 3, 2, t_arr2)]
 
 
+def test_base_on_data_arrival_is_never_called(monkeypatch):
+    calls = []
+    monkeypatch.setattr(RoutingAlgorithm, "on_data_arrival", lambda self, *args: calls.append(args))
+    # a delivery at node 3, then a packet that expires on its way into node 2
+    for ttl_s, delivered, expired in ((Network.ttl_s, 1, 0), (0.005, 0, 1)):
+        sim, net, metrics = line_net(3, ttl_s=ttl_s)
+        net.inject_data(1, 3, 4096)
+        sim.run_until(1.0)
+        assert metrics.delivered_count["data"] == delivered
+        assert metrics.dropped_count["ttl/data"] == expired
+    assert calls == []
+
+
 def test_on_local_data_reaches_an_algorithm_that_overrides_it():
     class Listener(Onward):
         def on_local_data(self, node, dst, bits):
@@ -310,46 +323,26 @@ def test_packet_size_must_be_positive():
         Packet(DATA, 0, 1, 2, 0.0)
 
 
-def test_session_cbr_is_periodic_with_fixed_sizes():
+def test_session_draws_each_packet_and_stops_after_packets_remaining():
     sim, net, metrics = two_node_net()
     gen = []
     original = metrics.on_generated
     metrics.on_generated = lambda t, kind, bits: (gen.append((t, bits)), original(t, kind, bits))
-    s = Session(net, 1, 2, "CBR", mpia_s=0.01, mean_packet_bits=4096,
-                packets_remaining=5, end_time=10.0, size_rng=sim.stream("packet_sizes"),
-                interval_rng=sim.stream("packet_intervals"))
+    gaps = iter([0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 1.0])
+    sizes = iter([100.0, 200.0, 300.0, 400.0, 500.0, 600.0])
+    s = Session(net, 1, 2, gaps.__next__, sizes.__next__, packets_remaining=5, end_time=10.0)
     s.start()
     sim.run_until(10.0)
-    assert len(gen) == 5
-    gaps = [round(b - a, 9) for (a, _), (b, _) in zip(gen, gen[1:])]
-    assert all(g == 0.01 for g in gaps)
-    assert all(bits == 4096 for _, bits in gen)
-
-
-def test_session_gvbr_draws_vary_and_average_out():
-    sim, net, metrics = two_node_net(buffer_bits=1e12)
-    sizes = []
-    original = metrics.on_generated
-    metrics.on_generated = lambda t, kind, bits: (sizes.append(bits), original(t, kind, bits))
-    s = Session(net, 1, 2, "GVBR", mpia_s=0.001, mean_packet_bits=4096,
-                packets_remaining=20_000, end_time=1e9,
-                size_rng=sim.stream("packet_sizes"),
-                interval_rng=sim.stream("packet_intervals"))
-    s.start()
-    sim.run_until(1e9)
-    assert len(sizes) == 20_000
-    mean = sum(sizes) / len(sizes)
-    assert abs(mean - 4096) / 4096 < 0.02
-    assert len(set(sizes)) > 1000  # genuinely variable
-    assert min(sizes) > 0
+    assert gen == [(0.5, 100.0), (0.75, 200.0), (0.875, 300.0), (0.9375, 400.0), (0.96875, 500.0)]
+    assert s.packets_remaining == 0
+    # the first gap is drawn before the first packet, and the last packet
+    # still draws the gap to a next one, which sends nothing and draws nothing
+    assert next(gaps) == 1.0 and next(sizes) == 600.0
 
 
 def test_session_stops_at_end_time():
     sim, net, metrics = two_node_net()
-    s = Session(net, 1, 2, "CBR", mpia_s=0.1, mean_packet_bits=4096,
-                packets_remaining=None, end_time=1.0,
-                size_rng=sim.stream("packet_sizes"),
-                interval_rng=sim.stream("packet_intervals"))
+    s = Session(net, 1, 2, lambda: 0.1, lambda: 4096.0, packets_remaining=None, end_time=1.0)
     s.start()
     sim.run_until(5.0)
     assert metrics.generated_count["data"] == 10

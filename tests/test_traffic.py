@@ -77,6 +77,56 @@ def test_fixed_one_to_all_session_count():
     assert len(sessions) == 8 * 7  # one session per ordered node pair
 
 
+def generated_packets(net):
+    """Record ``(time, bits)`` for every data packet ``net`` generates."""
+    seen = []
+    on_generated = net.metrics.on_generated
+
+    def record(t, kind, bits):
+        seen.append((t, bits))
+        on_generated(t, kind, bits)
+
+    net.metrics.on_generated = record
+    return seen
+
+
+def test_session_cbr_is_periodic_with_fixed_sizes():
+    sim, net = make_net()
+    gen = generated_packets(net)
+    spec = TrafficSpec(temporal="F", stream="CBR", mpia_s=0.01, mean_packet_bits=4096.0,
+                       fixed_pairs=[(1, net.topo.neighbors(1)[0])])
+    TrafficSource(net, spec, 0.0, 0.0505).start()
+    sim.run_until(10.0)
+    times = [round(t, 9) for t, _ in gen]
+    assert times == [0.01, 0.02, 0.03, 0.04, 0.05]
+    assert all(bits == 4096.0 for _, bits in gen)
+
+
+def test_session_gvbr_draws_vary_and_average_out():
+    sim, net = make_net()
+    gen = generated_packets(net)
+    spec = TrafficSpec(temporal="F", stream="GVBR", mpia_s=0.001, mean_packet_bits=4096.0,
+                       fixed_pairs=[(1, net.topo.neighbors(1)[0])])
+    TrafficSource(net, spec, 0.0, 20.0).start()
+    sim.run_until(20.0)
+    assert abs(len(gen) - 20_000) / 20_000 < 0.02
+    sizes = [bits for _, bits in gen]
+    mean = sum(sizes) / len(sizes)
+    assert abs(mean - 4096) / 4096 < 0.02
+    assert len(set(sizes)) > 1000  # genuinely variable
+    assert min(sizes) > 0
+    # each gap and size is the next exponential draw of the trial's own
+    # packet_intervals and packet_sizes streams
+    replay = Simulator(master_seed=0)
+    intervals, size_draws = replay.stream("packet_intervals"), replay.stream("packet_sizes")
+    t = 0.0
+    expected = []
+    for _ in range(100):
+        t += intervals.expovariate(1.0 / 0.001)
+        expected.append((t, size_draws.expovariate(1.0 / 4096.0)))
+    assert gen[:100] == expected
+
+
 def test_fixed_pairs_override():
     sim, net = make_net()
     spec = TrafficSpec(temporal="F", stream="CBR", mpia_s=0.01,
