@@ -5,7 +5,8 @@ and probabilistic data forwarding."""
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from bisect import bisect_left
+from typing import Dict, List, Optional, Tuple
 
 from antsim.network import BACKWARD_ANT, FORWARD_ANT, Packet, Port
 from antsim.routing import RoutingAlgorithm
@@ -128,6 +129,22 @@ class _Trail:
 
 
 class AntNetRouting(RoutingAlgorithm):
+    """AntNet: ants learn per-node routing tables, data follows them.
+
+    Data forwarding draws from a cached distribution. ``picks[node][dst]``
+    maps a data packet's previous hop (``None`` at its source) to the
+    candidate next hops, their cumulative ``row[i] ** 1.2`` weights and the
+    weights' ``sum``. ``reinforce_row`` in ``backward_update`` is the only
+    writer of a row, and the row's entries are cleared right after it, so an
+    entry always reflects its row. An entry is built with the same float
+    operations in the same order as the uncached computation, and a draw
+    makes the same single ``random()`` or ``choice`` call. The weights are
+    never negative, so the cumulative sums never fall, and a bisection finds
+    the same first ``i`` with ``pick <= cumulative[i]`` as a running-sum
+    scan. So every draw, every chosen hop and every output byte are those of
+    the uncached computation.
+    """
+
     name = "antnet"
     elab_s = 0.003
 
@@ -153,6 +170,10 @@ class AntNetRouting(RoutingAlgorithm):
             self.tables[u] = {
                 d: [1.0 / len(nbrs)] * len(nbrs) for d in topo.nodes if d != u
             }
+        # node -> dst -> previous hop -> (candidates, cumulative weights, total)
+        self.picks: Dict[int, Dict[int, Dict[Optional[int], tuple]]] = {
+            u: {d: {} for d in self.tables[u]} for u in topo.nodes
+        }
         self.models: Dict[int, Dict[int, TripModel]] = {u: {} for u in topo.nodes}
         self.flows: Dict[int, Dict[int, float]] = {u: {} for u in topo.nodes}
         self.ant_rng = net.sim.stream("ant_routing")
@@ -308,19 +329,39 @@ class AntNetRouting(RoutingAlgorithm):
                 model.update(trip, MODEL_DECAY, WINDOW_MAX)
             r = score_trip(trip, model, n_nbrs)
             reinforce_row(self.tables[node][dst], from_idx, r)
+            self.picks[node][dst].clear()
 
     # -- data forwarding -----------------------------------------------------
 
     def select_next_hop(self, node: int, packet: Packet) -> int:
-        nbrs = self.neighbors[node]
-        if packet.prev_node is not None and len(nbrs) >= 2:
-            candidates = [n for n in nbrs if n != packet.prev_node]
-        else:
-            candidates = nbrs
-        row = self.tables[node][packet.dst]
-        idx = self.nbr_index[node]
-        weights = [row[idx[n]] ** DATA_POWER_EXPONENT for n in candidates]
-        total = sum(weights)
+        prev = packet.prev_node
+        picks = self.picks[node][packet.dst]
+        try:
+            candidates, cumulative, total = picks[prev]
+        except KeyError:
+            entry = self._data_distribution(node, packet.dst, prev)
+            candidates, cumulative, total = picks[prev] = entry
         if total <= 0:
             return self.data_rng.choice(candidates)
-        return self._weighted_pick(self.data_rng, candidates, weights, total)
+        # the first i with pick <= cumulative[i]; none when sum() rounds
+        # above the running sum, where the scan also fell back to the last
+        i = bisect_left(cumulative, self.data_rng.random() * total)
+        return candidates[i] if i < len(candidates) else candidates[-1]
+
+    def _data_distribution(self, node: int, dst: int, prev: Optional[int]) -> tuple:
+        """Candidates that avoid the arrival link (unless it is the only
+        one), their cumulative ``row ** 1.2`` weights and the weights' sum."""
+        nbrs = self.neighbors[node]
+        if prev is not None and len(nbrs) >= 2:
+            candidates = [n for n in nbrs if n != prev]
+        else:
+            candidates = nbrs
+        row = self.tables[node][dst]
+        idx = self.nbr_index[node]
+        weights = [row[idx[n]] ** DATA_POWER_EXPONENT for n in candidates]
+        cumulative = []
+        acc = 0.0
+        for w in weights:
+            acc += w
+            cumulative.append(acc)
+        return candidates, cumulative, sum(weights)

@@ -224,11 +224,20 @@ def sweep(
     """One aggregate per value of the dotted config key ``path``, such as
     ``"traffic.msia_s"``; each aggregate also holds its value under the
     key's last part. Point ``v`` runs as label ``f"{label}_{v:g}"``. Every
-    point is validated before the first trial."""
+    point is validated before the first trial, and two values that share a
+    label are a ``ConfigError``, as the later point's files would overwrite
+    the earlier one's."""
     section, key = path.split(".")
+    labels = [f"{label}_{v:g}" for v in values]
+    for i, name in enumerate(labels):
+        first = labels.index(name)
+        if first != i:
+            raise ConfigError(
+                f"{path}: values {values[first]!r} and {values[i]!r} both run as label {name!r}"
+            )
     points = [
-        replace(cfg, label=f"{label}_{v:g}", **{section: dict(getattr(cfg, section), **{key: v})})
-        for v in values
+        replace(cfg, label=name, **{section: dict(getattr(cfg, section), **{key: v})})
+        for v, name in zip(values, labels)
     ]
     rows = []
     for v, point in zip(values, points):

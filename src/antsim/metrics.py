@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from bisect import bisect_left
+from collections import Counter, defaultdict
+from itertools import islice
 from typing import Dict, List, Optional
 
 
@@ -53,17 +55,14 @@ class MetricsCollector:
 
     def percentile(self, p: float) -> Optional[float]:
         """Nearest-rank percentile of the delay sample; None when empty."""
-        if not self.delay_samples:
-            return None
-        ordered = sorted(self.delay_samples)
-        rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-        return ordered[rank - 1]
+        return nearest_rank(sorted(self.delay_samples), p)
 
     def summarize(self, run_end: float, total_link_bw_bps: float) -> dict:
         measured = run_end - self.t_start
         throughput = self.delivered_bits_total / measured if measured > 0 else 0.0
-        p50 = self.percentile(50)
-        p90 = self.percentile(90)
+        ordered = sorted(self.delay_samples)
+        p50 = nearest_rank(ordered, 50)
+        p90 = nearest_rank(ordered, 90)
         mean_delay = (
             sum(self.delay_samples) / len(self.delay_samples) if self.delay_samples else None
         )
@@ -77,7 +76,7 @@ class MetricsCollector:
             "delay_mean_s": mean_delay,
             "delay_p50_s": p50,
             "delay_p90_s": p90,
-            "delay_histogram": self.delay_histogram(),
+            "delay_histogram": log_histogram(ordered),
             "delay_samples": len(self.delay_samples),
             "overhead": overhead,
             "routing_bits": self.routing_bits,
@@ -89,18 +88,7 @@ class MetricsCollector:
 
     def delay_histogram(self, n_bins: int = 24) -> dict:
         """Counts over log-spaced delay bins from 0.1 ms to ~100 s."""
-        lo, hi = 1e-4, 1e2
-        edges = [lo * (hi / lo) ** (i / n_bins) for i in range(n_bins + 1)]
-        counts = [0] * (n_bins + 2)  # underflow + bins + overflow
-        for d in self.delay_samples:
-            if d < lo:
-                counts[0] += 1
-            elif d >= hi:
-                counts[-1] += 1
-            else:
-                i = int(n_bins * math.log(d / lo) / math.log(hi / lo))
-                counts[1 + min(i, n_bins - 1)] += 1
-        return {"bin_edges_s": edges, "counts": counts}
+        return log_histogram(sorted(self.delay_samples), n_bins)
 
     def windowed_series(self, run_end: float) -> List[dict]:
         """Throughput / mean delay / offered load averaged per window."""
@@ -117,6 +105,32 @@ class MetricsCollector:
                 }
             )
         return rows
+
+
+def nearest_rank(ordered: List[float], p: float) -> Optional[float]:
+    """Nearest-rank ``p``-th percentile of a sorted sample; None when empty."""
+    if not ordered:
+        return None
+    rank = max(1, math.ceil(p / 100.0 * len(ordered)))
+    return ordered[rank - 1]
+
+
+def log_histogram(ordered: List[float], n_bins: int = 24) -> dict:
+    """Counts of a sorted delay sample over ``n_bins`` log-spaced bins from
+    0.1 ms to 100 s, with an underflow and an overflow count at the ends."""
+    lo, hi = 1e-4, 1e2
+    edges = [lo * (hi / lo) ** (i / n_bins) for i in range(n_bins + 1)]
+    first = bisect_left(ordered, lo)  # samples below lo
+    end = bisect_left(ordered, hi)  # samples from hi up overflow
+    counts = [0] * (n_bins + 2)  # underflow + bins + overflow
+    counts[0] = first
+    counts[-1] = len(ordered) - end
+    # int(n_bins * math.log(d / lo) / math.log(hi / lo)) for each in-range d
+    logs = map(math.log, map(lo.__rtruediv__, islice(ordered, first, end)))
+    bins = map(int, map(math.log(hi / lo).__rtruediv__, map(float(n_bins).__mul__, logs)))
+    for i, count in Counter(bins).items():
+        counts[1 + min(i, n_bins - 1)] += count
+    return {"bin_edges_s": edges, "counts": counts}
 
 
 def power(throughput_bps: float, delay_p90_s: Optional[float]) -> Optional[float]:

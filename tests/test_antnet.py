@@ -1,9 +1,11 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from antsim.antnet import (
+    DATA_POWER_EXPONENT,
     MODEL_DECAY,
     WINDOW_MAX,
     AntNetRouting,
@@ -18,7 +20,8 @@ from antsim.antnet import (
 from antsim.engine import Simulator
 from antsim.metrics import MetricsCollector
 from antsim.network import Network
-from antsim.topology import builtin_topology
+from antsim.topology import Link, Topology, builtin_topology
+from antsim.traffic import TrafficSource, TrafficSpec
 
 
 def test_default_window_max_is_300():
@@ -223,3 +226,88 @@ def test_cycle_death_counted():
     net.set_algorithm(AntNetRouting(launch_interval_s=0.05))
     sim.run_until(120.0)
     assert metrics.dropped_count.get("cycle/forward_ant", 0) > 0
+
+
+def uncached_select_next_hop(algo, node, packet, rng):
+    """The data-forwarding draw as computed before the per-row cache."""
+    nbrs = algo.neighbors[node]
+    if packet.prev_node is not None and len(nbrs) >= 2:
+        candidates = [n for n in nbrs if n != packet.prev_node]
+    else:
+        candidates = nbrs
+    row = algo.tables[node][packet.dst]
+    idx = algo.nbr_index[node]
+    weights = [row[idx[n]] ** DATA_POWER_EXPONENT for n in candidates]
+    total = sum(weights)
+    if total <= 0:
+        return rng.choice(candidates)
+    pick = rng.random() * total
+    acc = 0.0
+    for item, w in zip(candidates, weights):
+        acc += w
+        if pick <= acc:
+            return item
+    return candidates[-1]
+
+
+# a ring 1-2-3-4 with the chord 1-3, and node 5 hanging off node 4: data
+# that reaches node 5 for another destination can only go back
+LEAF_TOPOLOGY = Topology(
+    5,
+    [
+        Link(u, v, 1.5e6, 0.001)
+        for a, b in ((1, 2), (2, 3), (3, 4), (4, 1), (1, 3), (4, 5))
+        for u, v in ((a, b), (b, a))
+    ],
+)
+
+
+def differential_forwarding_run(topo, seed, run_s):
+    """Run antnet under UP traffic and check every data draw against the
+    uncached computation on a copy of the data RNG; return counts of what
+    the run reached."""
+    sim = Simulator(master_seed=seed)
+    net = Network(sim, topo, MetricsCollector())
+    # ants once a second leave the one-hot rows of a first backward ant in
+    # place long enough for data to meet them, and let data stray to a leaf
+    algo = AntNetRouting(launch_interval_s=1.0)
+    net.set_algorithm(algo)
+    cached = algo.select_next_hop
+    reached = dict.fromkeys(("calls", "built", "rebuilt", "choice", "source", "leaf"), 0)
+    built = set()
+
+    def checked(node, packet):
+        reference_rng = random.Random()
+        reference_rng.setstate(algo.data_rng.getstate())
+        expected = uncached_select_next_hop(algo, node, packet, reference_rng)
+        prev, nbrs, row = packet.prev_node, algo.neighbors[node], algo.tables[node][packet.dst]
+        key = (node, packet.dst, prev)
+        if prev not in algo.picks[node][packet.dst]:
+            reached["rebuilt" if key in built else "built"] += 1
+            built.add(key)
+        if len(nbrs) >= 2 and all(row[i] == 0 for i, n in enumerate(nbrs) if n != prev):
+            reached["choice"] += 1  # a one-hot row toward the arrival link
+        reached["source"] += prev is None
+        reached["leaf"] += len(nbrs) < 2 and prev is not None
+        reached["calls"] += 1
+        chosen = cached(node, packet)
+        assert chosen == expected
+        assert algo.data_rng.getstate() == reference_rng.getstate()
+        return chosen
+
+    algo.select_next_hop = checked
+    spec = TrafficSpec(temporal="P", spatial="U", stream="GVBR", msia_s=0.5)
+    TrafficSource(net, spec, 0.0, run_s).start()
+    sim.run_until(run_s)
+    return reached
+
+
+def test_cached_data_forwarding_matches_uncached_draws():
+    reached = Counter()
+    for topo in (builtin_topology("simplenet"), builtin_topology("nsfnet"), LEAF_TOPOLOGY):
+        reached.update(differential_forwarding_run(topo, seed=11, run_s=3.0))
+    assert reached["rebuilt"] > 0  # entries rebuilt after backward_update changed a row
+    assert reached["choice"] > 0  # one-hot rows a first backward ant leaves (r == 1.0)
+    assert reached["source"] > 0  # prev_node None
+    assert reached["leaf"] > 0  # a node with one neighbour sends data back
+    assert reached["built"] + reached["rebuilt"] < reached["calls"]  # the cache hits

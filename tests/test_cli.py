@@ -182,6 +182,21 @@ def test_sweeps_validate_every_point_before_the_first_trial(monkeypatch):
     assert ran == []
 
 
+def test_sweep_values_that_share_a_label_are_rejected_before_the_first_trial(
+    tmp_path, monkeypatch
+):
+    # 2.0 and 2.0000001 agree to 6 significant digits, so both would run as
+    # "rate_2" and the second point's trial files would overwrite the first's
+    ran = []
+    monkeypatch.setattr(cli, "run_trial", lambda cfg, trial: ran.append(cfg))
+    cfg = small_config(out_dir=str(tmp_path))
+    with pytest.raises(ConfigError, match=r"2\.0 and 2\.0000001 .*'rate_2'"):
+        sweep_ant_rate(cfg, [0.3, 2.0, 2.0000001])
+    with pytest.raises(ConfigError, match=r"^traffic\.msia_s: values 1\.5 and 1\.5 "):
+        sweep_load(cfg, [1.5, 1.5])
+    assert ran == [] and os.listdir(tmp_path) == []
+
+
 def test_main_sweep_rate_rejects_zero_rate(tmp_path, capsys, monkeypatch):
     ran = []
     monkeypatch.setattr(cli, "run_trial", lambda cfg, trial: ran.append(cfg))

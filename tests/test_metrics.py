@@ -102,6 +102,69 @@ def test_delay_histogram_bins():
     assert len(h["bin_edges_s"]) == 5
 
 
+def percentile_per_call(samples, p):
+    """Oracle: the nearest-rank percentile as first written, sorting the
+    sample on every call."""
+    if not samples:
+        return None
+    ordered = sorted(samples)
+    rank = max(1, math.ceil(p / 100.0 * len(ordered)))
+    return ordered[rank - 1]
+
+
+def histogram_per_sample(samples, n_bins=24):
+    """Oracle: the log-spaced delay histogram as first written, one branch
+    per sample over the unsorted list."""
+    lo, hi = 1e-4, 1e2
+    edges = [lo * (hi / lo) ** (i / n_bins) for i in range(n_bins + 1)]
+    counts = [0] * (n_bins + 2)
+    for d in samples:
+        if d < lo:
+            counts[0] += 1
+        elif d >= hi:
+            counts[-1] += 1
+        else:
+            i = int(n_bins * math.log(d / lo) / math.log(hi / lo))
+            counts[1 + min(i, n_bins - 1)] += 1
+    return {"bin_edges_s": edges, "counts": counts}
+
+
+def test_sorted_readouts_match_per_call_oracles():
+    rng = random.Random("delay-readouts")
+    lo, hi = 1e-4, 1e2
+    # every bin edge of the bin counts below, and its neighbouring floats
+    edges = {e for n in (1, 4, 7, 24) for e in histogram_per_sample([], n)["bin_edges_s"]}
+    near = sorted(
+        x for e in edges | {lo, hi} for x in (e, math.nextafter(e, 0.0), math.nextafter(e, 1e9))
+    )
+    samples_list = [
+        [],
+        [lo],
+        [hi],
+        [0.5 * lo, 2 * hi],
+        near,
+        near * 3,  # duplicates
+        [rng.choice(near) for _ in range(500)],
+        [10 ** rng.uniform(-6, 3) for _ in range(2000)],
+        [rng.choice((lo, hi, 1e-7, 1e4, rng.expovariate(20.0))) for _ in range(1000)],
+    ]
+    for samples in samples_list:
+        rng.shuffle(samples)
+        m = MetricsCollector()
+        for d in samples:
+            m.on_delivered(1.0, "data", 100, d)
+        for p in (0, 1, 10, 50, 90, 99, 100):
+            assert m.percentile(p) == percentile_per_call(samples, p)
+        for n in (1, 4, 7, 24):
+            assert m.delay_histogram(n_bins=n) == histogram_per_sample(samples, n)
+        s = m.summarize(10.0, 1e6)
+        assert s["delay_p50_s"] == percentile_per_call(samples, 50)
+        assert s["delay_p90_s"] == percentile_per_call(samples, 90)
+        assert s["delay_histogram"] == histogram_per_sample(samples)
+        assert s["delay_mean_s"] == (sum(samples) / len(samples) if samples else None)
+        assert m.delay_samples == samples  # the readouts leave the sample's order alone
+
+
 def test_routing_bits_before_measurement_ignored():
     m = MetricsCollector(t_start=100.0)
     m.on_routing_tx(99.0, 1000)
