@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from antsim.network import BACKWARD_ANT, FORWARD_ANT, Packet, Port
@@ -131,18 +132,27 @@ class _Trail:
 class AntNetRouting(RoutingAlgorithm):
     """AntNet: ants learn per-node routing tables, data follows them.
 
-    Data forwarding draws from a cached distribution. ``picks[node][dst]``
-    maps a data packet's previous hop (``None`` at its source) to the
-    candidate next hops, their cumulative ``row[i] ** 1.2`` weights and the
-    weights' ``sum``. ``reinforce_row`` in ``backward_update`` is the only
-    writer of a row, and the row's entries are cleared right after it, so an
-    entry always reflects its row. An entry is built with the same float
-    operations in the same order as the uncached computation, and a draw
-    makes the same single ``random()`` or ``choice`` call. The weights are
-    never negative, so the cumulative sums never fall, and a bisection finds
-    the same first ``i`` with ``pick <= cumulative[i]`` as a running-sum
-    scan. So every draw, every chosen hop and every output byte are those of
-    the uncached computation.
+    Data and forward ants move by one stochastic rule over a node's
+    routing-table row, stated once in ``_distribution``: the candidates are
+    the neighbours not excluded, or all of them when none is left. Data
+    weighs neighbour ``i`` by ``row[i] ** 1.2`` and excludes the neighbour it
+    arrived from (``prev_node``, ``None`` at its source). A forward ant
+    weighs it by the row blended with the queue heuristic and excludes the
+    nodes on its trail.
+
+    Data draws from a cached distribution. ``picks[node][dst]`` maps a
+    previous hop to the ``(candidates, cumulative weights, total)`` that
+    ``_distribution`` built. ``reinforce_row`` in ``backward_update`` is the
+    only writer of a row, and the row's entries are cleared right after it,
+    so an entry always reflects its row.
+
+    A draw makes one ``random()`` call, or one ``choice`` when the total is
+    not positive, and takes the first candidate whose cumulative weight
+    reaches ``random() * total``. Data finds it by bisection: ``row ** 1.2``
+    is never negative, so its sums never fall. Ants and destinations scan
+    with ``_weighted_pick``: a blended weight goes negative when the port
+    queue sums behind the heuristic keep a float residue, so ant sums can
+    fall, and a bisection would then pick another hop.
     """
 
     name = "antnet"
@@ -157,9 +167,6 @@ class AntNetRouting(RoutingAlgorithm):
         self.net = net
         topo = net.topo
         self.neighbors: Dict[int, List[int]] = {u: topo.neighbors(u) for u in topo.nodes}
-        self.nbr_index: Dict[int, Dict[int, int]] = {
-            u: {n: i for i, n in enumerate(nbrs)} for u, nbrs in self.neighbors.items()
-        }
         self.nbr_ports: Dict[int, List[Port]] = {
             u: [net.ports[(u, n)] for n in nbrs] for u, nbrs in self.neighbors.items()
         }
@@ -207,7 +214,8 @@ class AntNetRouting(RoutingAlgorithm):
         flows = self.flows[node]
         total = sum(flows.values())
         if total > 0:
-            return self._weighted_pick(self.ant_rng, list(flows), list(flows.values()), total)
+            cumulative = list(accumulate(flows.values()))
+            return self._weighted_pick(self.ant_rng, list(flows), cumulative, total)
         others = [v for v in self.net.topo.nodes if v != node]
         return self.ant_rng.choice(others)
 
@@ -242,17 +250,12 @@ class AntNetRouting(RoutingAlgorithm):
 
     def _forward_move(self, node: int, packet: Packet) -> None:
         trail: _Trail = packet.payload
-        nbrs = self.neighbors[node]
-        candidates = [n for n in nbrs if n not in trail.index]
-        if not candidates:
-            candidates = nbrs
         probs = self.forward_probabilities(node, packet.dst)
-        weights = [probs[self.nbr_index[node][n]] for n in candidates]
-        total = sum(weights)
+        candidates, cumulative, total = self._distribution(node, probs, trail.index)
         if total <= 0:
             chosen = self.ant_rng.choice(candidates)
         else:
-            chosen = self._weighted_pick(self.ant_rng, candidates, weights, total)
+            chosen = self._weighted_pick(self.ant_rng, candidates, cumulative, total)
         hops_done = len(trail.stack) - 1
         packet.size = (ANT_BASE_BYTES + ANT_BYTES_PER_HOP * hops_done) * 8
         self.net.send_ant(node, chosen, packet)
@@ -264,21 +267,31 @@ class AntNetRouting(RoutingAlgorithm):
         return blend_probabilities(self.tables[node][dst], heuristic, HEURISTIC_WEIGHT)
 
     @staticmethod
-    def _weighted_pick(rng, items, weights, total):
+    def _weighted_pick(rng, items, cumulative, total):
+        """The first item whose cumulative weight reaches the draw; a scan,
+        as ant sums can fall (see the class docstring)."""
         pick = rng.random() * total
-        acc = 0.0
-        for item, w in zip(items, weights):
-            acc += w
+        for item, acc in zip(items, cumulative):
             if pick <= acc:
                 return item
         return items[-1]
+
+    def _distribution(self, node: int, weights: List[float], excluded) -> tuple:
+        """``(candidates, cumulative weights, total)`` for a draw at ``node``.
+
+        ``weights`` holds one weight per neighbour, in ``neighbors[node]``
+        order. The candidates are the neighbours not in ``excluded``, or all
+        of them when none is left.
+        """
+        nbrs = self.neighbors[node]
+        kept = [i for i, n in enumerate(nbrs) if n not in excluded] or range(len(nbrs))
+        weights = [weights[i] for i in kept]
+        return [nbrs[i] for i in kept], list(accumulate(weights)), sum(weights)
 
     # -- backward ants -------------------------------------------------------
 
     def _spawn_backward(self, node: int, forward: Packet) -> None:
         trail: _Trail = forward.payload
-        if len(trail.stack) < 2:
-            return
         hops = len(trail.stack) - 1
         packet = Packet(
             BACKWARD_ANT,
@@ -310,7 +323,7 @@ class AntNetRouting(RoutingAlgorithm):
         pos = trail.pos
         here_elapsed = stack[pos][1]
         from_nbr = stack[pos + 1][0]
-        from_idx = self.nbr_index[node][from_nbr]
+        from_idx = self.neighbors[node].index(from_nbr)
         n_nbrs = len(self.neighbors[node])
         models = self.models[node]
         last = len(stack) - 1
@@ -339,29 +352,13 @@ class AntNetRouting(RoutingAlgorithm):
         try:
             candidates, cumulative, total = picks[prev]
         except KeyError:
-            entry = self._data_distribution(node, packet.dst, prev)
-            candidates, cumulative, total = picks[prev] = entry
+            weights = [w ** DATA_POWER_EXPONENT for w in self.tables[node][packet.dst]]
+            candidates, cumulative, total = picks[prev] = self._distribution(
+                node, weights, (prev,)
+            )
         if total <= 0:
             return self.data_rng.choice(candidates)
         # the first i with pick <= cumulative[i]; none when sum() rounds
         # above the running sum, where the scan also fell back to the last
         i = bisect_left(cumulative, self.data_rng.random() * total)
         return candidates[i] if i < len(candidates) else candidates[-1]
-
-    def _data_distribution(self, node: int, dst: int, prev: Optional[int]) -> tuple:
-        """Candidates that avoid the arrival link (unless it is the only
-        one), their cumulative ``row ** 1.2`` weights and the weights' sum."""
-        nbrs = self.neighbors[node]
-        if prev is not None and len(nbrs) >= 2:
-            candidates = [n for n in nbrs if n != prev]
-        else:
-            candidates = nbrs
-        row = self.tables[node][dst]
-        idx = self.nbr_index[node]
-        weights = [row[idx[n]] ** DATA_POWER_EXPONENT for n in candidates]
-        cumulative = []
-        acc = 0.0
-        for w in weights:
-            acc += w
-            cumulative.append(acc)
-        return candidates, cumulative, sum(weights)

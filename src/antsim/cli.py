@@ -90,10 +90,7 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ConfigError("trials: must be >= 1")
         # derived, not a field: every trial builds its network on this graph
-        try:
-            self.topo = resolve_topology(self.topology)
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"topology: {exc}") from exc
+        self.topo = resolve_topology(self.topology)
         try:
             self.traffic_spec = TrafficSpec(**self.traffic)
             self.traffic_spec.check_topology(self.topo)
@@ -134,9 +131,14 @@ def load_config(path: str, **overrides) -> ExperimentConfig:
 
 
 def resolve_topology(name: str):
-    if os.path.exists(name):
-        return load_topology_file(name)
-    return builtin_topology(name)
+    """The topology in the JSON file at path ``name``, else the built-in one;
+    a ``ConfigError`` under ``topology`` when neither can be loaded."""
+    try:
+        if os.path.exists(name):
+            return load_topology_file(name)
+        return builtin_topology(name)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"topology: {exc}") from exc
 
 
 def build_algorithm(name: str, params: dict):
@@ -304,13 +306,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "topo-stats":
-        topo = resolve_topology(args.topology)
-        mean, std, n = topology_stats(topo)
-        print(f"{args.topology}: mean_hops={mean:.3f} std_hops={std:.3f} nodes={n}")
-        return 0
-
     try:
+        if args.command == "topo-stats":
+            mean, std, n = topology_stats(resolve_topology(args.topology))
+            print(f"{args.topology}: mean_hops={mean:.3f} std_hops={std:.3f} nodes={n}")
+            return 0
         cfg = load_config(
             args.config,
             out_dir=args.out,

@@ -32,10 +32,17 @@ class Topology:
         self.out_links: Dict[int, List[Link]] = {u: [] for u in self.nodes}
         self.link_map: Dict[Tuple[int, int], Link] = {}
         for link in self.links:
-            if link.bandwidth_bps <= 0:
-                raise ValueError(f"link {link.src}->{link.dst}: bandwidth must be > 0")
-            if link.prop_delay_s < 0:
-                raise ValueError(f"link {link.src}->{link.dst}: negative delay")
+            name = f"link {link.src}->{link.dst}"
+            if not 0 < link.bandwidth_bps < math.inf:
+                raise ValueError(f"{name}: bandwidth must be finite and > 0")
+            if not 0 <= link.prop_delay_s < math.inf:
+                raise ValueError(f"{name}: delay must be finite and >= 0")
+            if link.src not in self.out_links or link.dst not in self.out_links:
+                raise ValueError(f"{name}: endpoint outside 1..{self.n_nodes}")
+            if link.src == link.dst:
+                raise ValueError(f"{name}: self-loop")
+            if (link.src, link.dst) in self.link_map:
+                raise ValueError(f"{name}: repeated")
             self.out_links[link.src].append(link)
             self.link_map[(link.src, link.dst)] = link
         for u in self.nodes:

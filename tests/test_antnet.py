@@ -1,6 +1,8 @@
 import math
 import random
+from bisect import bisect_left
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 
@@ -236,7 +238,7 @@ def uncached_select_next_hop(algo, node, packet, rng):
     else:
         candidates = nbrs
     row = algo.tables[node][packet.dst]
-    idx = algo.nbr_index[node]
+    idx = {n: i for i, n in enumerate(nbrs)}
     weights = [row[idx[n]] ** DATA_POWER_EXPONENT for n in candidates]
     total = sum(weights)
     if total <= 0:
@@ -311,3 +313,112 @@ def test_cached_data_forwarding_matches_uncached_draws():
     assert reached["source"] > 0  # prev_node None
     assert reached["leaf"] > 0  # a node with one neighbour sends data back
     assert reached["built"] + reached["rebuilt"] < reached["calls"]  # the cache hits
+
+
+def reference_weighted_pick(rng, items, weights, total):
+    """The ant draw as computed before it took cumulative sums."""
+    pick = rng.random() * total
+    acc = 0.0
+    for item, w in zip(items, weights):
+        acc += w
+        if pick <= acc:
+            return item
+    return items[-1]
+
+
+def reference_forward_hop(algo, node, packet, rng):
+    """A forward ant's next hop as drawn before ``_distribution``."""
+    trail = packet.payload
+    nbrs = algo.neighbors[node]
+    candidates = [n for n in nbrs if n not in trail.index]
+    if not candidates:
+        candidates = nbrs
+    probs = algo.forward_probabilities(node, packet.dst)
+    idx = {n: i for i, n in enumerate(nbrs)}
+    weights = [probs[idx[n]] for n in candidates]
+    total = sum(weights)
+    if total <= 0:
+        return rng.choice(candidates)
+    return reference_weighted_pick(rng, candidates, weights, total)
+
+
+def reference_ant_destination(algo, node, rng):
+    flows = algo.flows[node]
+    total = sum(flows.values())
+    if total > 0:
+        return reference_weighted_pick(rng, list(flows), list(flows.values()), total)
+    others = [v for v in algo.net.topo.nodes if v != node]
+    return rng.choice(others)
+
+
+def bisection_differs(weights, pick):
+    """Whether a bisection over the running sums of ``weights`` finds another
+    index than the scan for ``pick``, as it can only where the sums fall."""
+    cumulative = list(accumulate(weights))
+    scan = next((i for i, acc in enumerate(cumulative) if pick <= acc), len(cumulative) - 1)
+    return min(bisect_left(cumulative, pick), len(cumulative) - 1) != scan
+
+
+def differential_ant_run(topo, seed, run_s):
+    """Run antnet with frequent ants under UP traffic and check every forward
+    hop and destination draw against the reference on a copy of the ant RNG;
+    return counts of what the run reached."""
+    sim = Simulator(master_seed=seed)
+    net = Network(sim, topo, MetricsCollector())
+    algo = AntNetRouting(launch_interval_s=0.006)
+    net.set_algorithm(algo)
+    forward_move, pick_destination, send_ant = (
+        algo._forward_move, algo.pick_ant_destination, net.send_ant
+    )
+    sent = []
+    reached = Counter()
+
+    def reference_rng():
+        rng = random.Random()
+        rng.setstate(algo.ant_rng.getstate())
+        return rng
+
+    def checked_move(node, packet):
+        pick = reference_rng().random()
+        rng = reference_rng()
+        expected = reference_forward_hop(algo, node, packet, rng)
+        nbrs = algo.neighbors[node]
+        probs = algo.forward_probabilities(node, packet.dst)
+        weights = [w for n, w in zip(nbrs, probs) if n not in packet.payload.index] or probs
+        reached["moves"] += 1
+        reached["fallback"] += all(n in packet.payload.index for n in nbrs)
+        reached["leaf"] += len(nbrs) == 1
+        reached["negative"] += min(probs) < 0
+        total = sum(weights)
+        reached["bisection_differs"] += total > 0 and bisection_differs(weights, pick * total)
+        forward_move(node, packet)
+        assert sent[-1] == expected
+        assert algo.ant_rng.getstate() == rng.getstate()
+
+    def checked_destination(node):
+        rng = reference_rng()
+        expected = reference_ant_destination(algo, node, rng)
+        reached["flow_biased"] += sum(algo.flows[node].values()) > 0
+        chosen = pick_destination(node)
+        assert chosen == expected
+        assert algo.ant_rng.getstate() == rng.getstate()
+        return chosen
+
+    net.send_ant = lambda node, nbr, packet: sent.append(nbr) or send_ant(node, nbr, packet)
+    algo._forward_move = checked_move
+    algo.pick_ant_destination = checked_destination
+    spec = TrafficSpec(temporal="P", spatial="U", stream="GVBR", msia_s=0.5)
+    TrafficSource(net, spec, 0.0, run_s).start()
+    sim.run_until(run_s)
+    return reached
+
+
+def test_ant_draws_match_the_reference_candidate_rule():
+    reached = Counter()
+    for topo in (builtin_topology("nsfnet"), LEAF_TOPOLOGY):
+        reached.update(differential_ant_run(topo, seed=7, run_s=2.0))
+    assert reached["fallback"] > 0  # every neighbour already on the trail
+    assert reached["leaf"] > 0  # a node with one neighbour
+    assert reached["flow_biased"] > 0  # destinations drawn by local data flow
+    assert reached["negative"] > 0  # a blended weight below zero
+    assert reached["bisection_differs"] > 0  # falling sums where only a scan is right

@@ -224,10 +224,19 @@ def test_sweep_load_one_aggregate_per_point():
     assert rows[1]["throughput_bps"] > rows[0]["throughput_bps"]
 
 
-def test_main_topo_stats(capsys):
+def test_main_topo_stats(tmp_path, capsys):
     assert main(["topo-stats", "simplenet"]) == 0
     out = capsys.readouterr().out
     assert "mean_hops=1.929" in out and "nodes=8" in out
+
+    not_json = tmp_path / "bad.json"
+    not_json.write_text("{not json")
+    unreadable = tmp_path / "dir.json"
+    unreadable.mkdir()  # exists, but open() fails
+    for topology in ("bogusnet", str(not_json), str(unreadable)):
+        assert main(["topo-stats", topology]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: topology: ") and captured.out == ""
 
 
 def test_main_run_and_error_paths(tmp_path, capsys):
@@ -265,6 +274,14 @@ DISCONNECTED_TOPOLOGY = {
         {"a": 3, "b": 4, "bandwidth_bps": 1e6, "prop_delay_s": 0.001},
     ],
 }
+# node 3 links to itself: a malformed graph that is connected and has reverses
+SELF_LOOP_TOPOLOGY = {
+    "nodes": 3,
+    "links": [
+        {"a": a, "b": b, "bandwidth_bps": 1e6, "prop_delay_s": 0.001}
+        for a, b in ((1, 2), (2, 3), (3, 3))
+    ],
+}
 RUN = ["run"]
 
 
@@ -289,6 +306,8 @@ RUN = ["run"]
         pytest.param("topology", {}, "{not json", RUN, id="topology_file_not_json"),
         pytest.param("topology", {}, json.dumps(DISCONNECTED_TOPOLOGY), RUN,
                      id="topology_file_not_connected"),
+        pytest.param("topology", {}, json.dumps(SELF_LOOP_TOPOLOGY), RUN,
+                     id="topology_file_self_loop"),
         pytest.param(
             "traffic", {"traffic": dict(SMALL_TRAFFIC, hot_spot_nodes=[99])},
             None, ["sweep-load", "--msia", "2.0", "1.0"], id="sweep_load_hot_spot_nodes",

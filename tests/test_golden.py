@@ -5,7 +5,8 @@ the trial's observable calls (``CallRecorder``). The digests in
 ``golden_digests.json`` were recorded before the code they guard was
 refactored; a refactor must leave them unchanged. A change that alters
 behaviour on purpose re-records them with
-``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
+``PYTHONPATH=src python tests/test_golden.py``, which first prints each entry
+whose digests moved and which of them, and says so in CHANGES.md.
 """
 
 import contextlib
@@ -155,12 +156,20 @@ def test_golden_outputs_unchanged(tmp_path, case, algorithm):
 
 
 if __name__ == "__main__":
-    # Re-record the digests from the current code.
+    # Re-record the digests from the current code; first name each entry whose
+    # digests differ from the file, and which of them moved.
+    with open(DIGESTS_PATH) as fh:
+        recorded = json.load(fh)
     table = {}
     for case, (*_, algorithms, _) in CASES.items():
         for algorithm in algorithms:
             with tempfile.TemporaryDirectory() as out_dir:
                 table[f"{case}/{algorithm}"] = golden_digests(case, algorithm, out_dir)
+    for entry, digests in table.items():
+        old = recorded.get(entry, {})
+        moved = [name for name, digest in digests.items() if old.get(name) != digest]
+        if moved:
+            print(f"{entry}: {', '.join(moved)}")
     with open(DIGESTS_PATH, "w") as fh:
         json.dump(table, fh, sort_keys=True, indent=2)
         fh.write("\n")

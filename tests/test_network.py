@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -87,6 +88,22 @@ def test_back_to_back_packets_queue_behind_transmitter():
     tx = 4096 / 1.5e6
     assert len(times) == 2
     assert abs((times[1] - times[0]) - tx) < 1e-12  # second waits one tx time
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="FOUND in CHANGES.md: Port.lo_bits and all_bits are running float sums, so a "
+    "drained queue keeps a residue that AntNet's queue heuristic reads",
+)
+def test_drained_port_reads_zero_queue_bits():
+    sim, net, metrics = two_node_net()
+    rng = random.Random(1)
+    for _ in range(20):
+        net.inject_data(1, 2, rng.expovariate(1 / 4096))
+    sim.run_until(5.0)
+    port = net.ports[(1, 2)]
+    assert metrics.delivered_count[DATA] == 20 and not port.lo and not port.hi
+    assert (port.lo_bits, port.all_bits) == (0.0, 0.0)  # 5.68e-12 each
 
 
 def test_high_priority_departs_before_queued_data():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -79,13 +80,30 @@ def test_disconnected_graph_rejected():
 
 
 def test_nonpositive_bandwidth_rejected():
-    with pytest.raises(ValueError):
-        Topology(2, [Link(1, 2, 0.0, 0.001), Link(2, 1, 0.0, 0.001)])
+    for bandwidth in (0.0, -1e6, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^link 1->2: bandwidth"):
+            Topology(2, [Link(1, 2, bandwidth, 0.001), Link(2, 1, bandwidth, 0.001)])
 
 
 def test_negative_delay_rejected():
-    with pytest.raises(ValueError):
-        Topology(2, [Link(1, 2, 1e6, -0.001), Link(2, 1, 1e6, -0.001)])
+    for delay in (-0.001, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^link 1->2: delay"):
+            Topology(2, [Link(1, 2, 1e6, delay), Link(2, 1, 1e6, delay)])
+
+
+@pytest.mark.parametrize(
+    "edges, n_nodes, message",
+    [
+        pytest.param([(1, 2), (2, 3), (3, 3)], 3, r"^link 3->3: self-loop", id="self_loop"),
+        pytest.param([(1, 2), (2, 3), (1, 2)], 3, r"^link 1->2: repeated", id="repeated_edge"),
+        pytest.param([(1, 2), (2, 7)], 3, r"^link 2->7: endpoint outside 1\.\.3",
+                     id="endpoint_out_of_range"),
+    ],
+)
+def test_malformed_link_rejected(edges, n_nodes, message):
+    bandwidths = [1e6 * (i + 1) for i in range(len(edges))]  # a repeat differs in value
+    with pytest.raises(ValueError, match=message):
+        from_edge_list(n_nodes, edges, bandwidths, 0.001)
 
 
 def test_hop_distances_bfs():
