@@ -16,6 +16,11 @@ ANT_BASE_BYTES = 24
 ANT_BYTES_PER_HOP = 8
 
 
+def ant_bits(hops: int) -> int:
+    """Size in bits of an ant whose trail holds ``hops`` hops."""
+    return (ANT_BASE_BYTES + ANT_BYTES_PER_HOP * hops) * 8
+
+
 # The paper's fixed AntNet constants.
 HEURISTIC_WEIGHT = 0.3  # alpha: queue-state correction weight, sane in 0.2-0.5
 MODEL_DECAY = 0.005  # eta of the exponential trip-time model
@@ -104,6 +109,15 @@ def blend_probabilities(row: List[float], heuristic: List[float], alpha: float) 
     return [(row[i] + alpha * heuristic[i]) / denom for i in range(n)]
 
 
+def _draw(rng, items, bounds, total):
+    """The first item whose running weight sum reaches ``random() * total``,
+    found by bisecting ``bounds``, the running maximum of those sums; a
+    uniform ``choice`` when ``total`` is not positive."""
+    if total <= 0:
+        return rng.choice(items)
+    return items[bisect_left(bounds, rng.random() * total)]
+
+
 class _Trail:
     """Forward-ant memory: visited nodes with elapsed times since launch."""
 
@@ -140,19 +154,13 @@ class AntNetRouting(RoutingAlgorithm):
     weighs it by the row blended with the queue heuristic and excludes the
     nodes on its trail.
 
+    Data, forward ants and ant destinations all draw with ``_draw``.
+
     Data draws from a cached distribution. ``picks[node][dst]`` maps a
-    previous hop to the ``(candidates, cumulative weights, total)`` that
+    previous hop to the ``(candidates, bounds, total)`` that
     ``_distribution`` built. ``reinforce_row`` in ``backward_update`` is the
     only writer of a row, and the row's entries are cleared right after it,
     so an entry always reflects its row.
-
-    A draw makes one ``random()`` call, or one ``choice`` when the total is
-    not positive, and takes the first candidate whose cumulative weight
-    reaches ``random() * total``. Data finds it by bisection: ``row ** 1.2``
-    is never negative, so its sums never fall. Ants and destinations scan
-    with ``_weighted_pick``: a blended weight goes negative when the port
-    queue sums behind the heuristic keep a float residue, so ant sums can
-    fall, and a bisection would then pick another hop.
     """
 
     name = "antnet"
@@ -177,7 +185,7 @@ class AntNetRouting(RoutingAlgorithm):
             self.tables[u] = {
                 d: [1.0 / len(nbrs)] * len(nbrs) for d in topo.nodes if d != u
             }
-        # node -> dst -> previous hop -> (candidates, cumulative weights, total)
+        # node -> dst -> previous hop -> (candidates, bounds, total)
         self.picks: Dict[int, Dict[int, Dict[Optional[int], tuple]]] = {
             u: {d: {} for d in self.tables[u]} for u in topo.nodes
         }
@@ -199,7 +207,7 @@ class AntNetRouting(RoutingAlgorithm):
         dst = self.pick_ant_destination(node)
         packet = Packet(
             FORWARD_ANT,
-            ANT_BASE_BYTES * 8,
+            ant_bits(0),
             node,
             dst,
             self.net.sim.now,
@@ -212,10 +220,9 @@ class AntNetRouting(RoutingAlgorithm):
         """Destination biased by locally generated data flow per destination;
         uniform over the other nodes when no data has been observed."""
         flows = self.flows[node]
-        total = sum(flows.values())
-        if total > 0:
-            cumulative = list(accumulate(flows.values()))
-            return self._weighted_pick(self.ant_rng, list(flows), cumulative, total)
+        sums = list(accumulate(flows.values()))
+        if sums and sums[-1] > 0:  # flow bits are never negative: sums are bounds
+            return _draw(self.ant_rng, list(flows), sums, sums[-1])
         others = [v for v in self.net.topo.nodes if v != node]
         return self.ant_rng.choice(others)
 
@@ -251,13 +258,8 @@ class AntNetRouting(RoutingAlgorithm):
     def _forward_move(self, node: int, packet: Packet) -> None:
         trail: _Trail = packet.payload
         probs = self.forward_probabilities(node, packet.dst)
-        candidates, cumulative, total = self._distribution(node, probs, trail.index)
-        if total <= 0:
-            chosen = self.ant_rng.choice(candidates)
-        else:
-            chosen = self._weighted_pick(self.ant_rng, candidates, cumulative, total)
-        hops_done = len(trail.stack) - 1
-        packet.size = (ANT_BASE_BYTES + ANT_BYTES_PER_HOP * hops_done) * 8
+        chosen = _draw(self.ant_rng, *self._distribution(node, probs, trail.index))
+        packet.size = ant_bits(len(trail.stack) - 1)
         self.net.send_ant(node, chosen, packet)
 
     def forward_probabilities(self, node: int, dst: int) -> List[float]:
@@ -266,36 +268,28 @@ class AntNetRouting(RoutingAlgorithm):
         heuristic = queue_heuristic(queue_bits)
         return blend_probabilities(self.tables[node][dst], heuristic, HEURISTIC_WEIGHT)
 
-    @staticmethod
-    def _weighted_pick(rng, items, cumulative, total):
-        """The first item whose cumulative weight reaches the draw; a scan,
-        as ant sums can fall (see the class docstring)."""
-        pick = rng.random() * total
-        for item, acc in zip(items, cumulative):
-            if pick <= acc:
-                return item
-        return items[-1]
-
     def _distribution(self, node: int, weights: List[float], excluded) -> tuple:
-        """``(candidates, cumulative weights, total)`` for a draw at ``node``.
+        """``(candidates, bounds, total)`` for a ``_draw`` at ``node``.
 
         ``weights`` holds one weight per neighbour, in ``neighbors[node]``
         order. The candidates are the neighbours not in ``excluded``, or all
-        of them when none is left.
+        of them when none is left. ``total`` is the last running sum of their
+        weights, and ``bounds`` the running maximum of those sums: the first
+        bound to reach a pick is where the first sum does, even where a
+        negative blended ant weight makes the sums fall.
         """
         nbrs = self.neighbors[node]
         kept = [i for i, n in enumerate(nbrs) if n not in excluded] or range(len(nbrs))
-        weights = [weights[i] for i in kept]
-        return [nbrs[i] for i in kept], list(accumulate(weights)), sum(weights)
+        sums = list(accumulate(weights[i] for i in kept))
+        return [nbrs[i] for i in kept], list(accumulate(sums, max)), sums[-1]
 
     # -- backward ants -------------------------------------------------------
 
     def _spawn_backward(self, node: int, forward: Packet) -> None:
         trail: _Trail = forward.payload
-        hops = len(trail.stack) - 1
         packet = Packet(
             BACKWARD_ANT,
-            (ANT_BASE_BYTES + ANT_BYTES_PER_HOP * hops) * 8,
+            ant_bits(len(trail.stack) - 1),
             node,
             trail.stack[0][0],
             self.net.sim.now,
@@ -350,15 +344,9 @@ class AntNetRouting(RoutingAlgorithm):
         prev = packet.prev_node
         picks = self.picks[node][packet.dst]
         try:
-            candidates, cumulative, total = picks[prev]
+            candidates, bounds, total = picks[prev]
         except KeyError:
             weights = [w ** DATA_POWER_EXPONENT for w in self.tables[node][packet.dst]]
-            candidates, cumulative, total = picks[prev] = self._distribution(
-                node, weights, (prev,)
-            )
-        if total <= 0:
-            return self.data_rng.choice(candidates)
-        # the first i with pick <= cumulative[i]; none when sum() rounds
-        # above the running sum, where the scan also fell back to the last
-        i = bisect_left(cumulative, self.data_rng.random() * total)
-        return candidates[i] if i < len(candidates) else candidates[-1]
+            candidates, bounds, total = picks[prev] = self._distribution(node, weights, (prev,))
+        # unpacked: a positional call is cheaper than a starred one on this per-packet path
+        return _draw(self.data_rng, candidates, bounds, total)

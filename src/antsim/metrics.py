@@ -53,10 +53,6 @@ class MetricsCollector:
         if t >= self.t_start:
             self.routing_bits += bits
 
-    def percentile(self, p: float) -> Optional[float]:
-        """Nearest-rank percentile of the delay sample; None when empty."""
-        return nearest_rank(sorted(self.delay_samples), p)
-
     def summarize(self, run_end: float, total_link_bw_bps: float) -> dict:
         measured = run_end - self.t_start
         throughput = self.delivered_bits_total / measured if measured > 0 else 0.0
@@ -85,10 +81,6 @@ class MetricsCollector:
             "delivered": dict(self.delivered_count),
             "dropped": dict(self.dropped_count),
         }
-
-    def delay_histogram(self, n_bins: int = 24) -> dict:
-        """Counts over log-spaced delay bins from 0.1 ms to ~100 s."""
-        return log_histogram(sorted(self.delay_samples), n_bins)
 
     def windowed_series(self, run_end: float) -> List[dict]:
         """Throughput / mean delay / offered load averaged per window."""

@@ -56,9 +56,6 @@ class Topology:
     def neighbors(self, node: int) -> List[int]:
         return [l.dst for l in self.out_links[node]]
 
-    def link(self, src: int, dst: int) -> Link:
-        return self.link_map[(src, dst)]
-
     def is_connected(self) -> bool:
         return self.n_nodes > 0 and len(self.hop_distances(1)) == self.n_nodes
 

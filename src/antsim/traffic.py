@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from antsim.network import Network, Session
 from antsim.topology import Topology
@@ -76,12 +76,7 @@ class TrafficSource:
         self.endpoint_rng = sim.stream("session_endpoints")
         self.size_rng = sim.stream("packet_sizes")
         self.interval_rng = sim.stream("packet_intervals")
-        # CBR sends mean_packet_bits every mpia_s; GVBR draws both from
-        # exponentials with those means
-        if spec.stream == "CBR":
-            self._size = lambda: spec.mean_packet_bits
-        else:
-            self._size = partial(self.size_rng.expovariate, 1.0 / spec.mean_packet_bits)
+        self._size = self._per_packet(self.size_rng, spec.mean_packet_bits)
         nodes = net.topo.nodes
         # Per-node session inter-arrival means: identical for U, randomized
         # multipliers in [0.5, 1.5] for R, drawn once per trial.
@@ -151,19 +146,23 @@ class TrafficSource:
 
     # -- session plumbing ----------------------------------------------------
 
+    def _per_packet(self, rng, mean: float) -> Callable[[], float]:
+        """A draw made once per packet (its bits, or the gap to the next
+        packet) with the given mean: CBR sends the mean itself, GVBR draws
+        it from an exponential."""
+        if self.spec.stream == "CBR":
+            return lambda: mean
+        return partial(rng.expovariate, 1.0 / mean)
+
     def _open_session(
         self, src: int, dst: int, mpia_s: float, persistent: bool, until: Optional[float] = None
     ) -> None:
         spec = self.spec
-        if spec.stream == "CBR":
-            interval = lambda: mpia_s
-        else:
-            interval = partial(self.interval_rng.expovariate, 1.0 / mpia_s)
         Session(
             self.net,
             src,
             dst,
-            interval,
+            self._per_packet(self.interval_rng, mpia_s),
             self._size,
             packets_remaining=None if persistent else spec.packets_per_session,
             end_time=min(self.t_end, until) if until is not None else self.t_end,

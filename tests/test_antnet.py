@@ -3,8 +3,10 @@ import random
 from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from antsim.antnet import (
     DATA_POWER_EXPONENT,
@@ -12,6 +14,7 @@ from antsim.antnet import (
     WINDOW_MAX,
     AntNetRouting,
     TripModel,
+    _draw,
     _Trail,
     _squash,
     blend_probabilities,
@@ -326,6 +329,14 @@ def reference_weighted_pick(rng, items, weights, total):
     return items[-1]
 
 
+def reference_draw(rng, items, weights):
+    """A draw as its callers made it before ``_draw``."""
+    total = sum(weights)
+    if total <= 0:
+        return rng.choice(items)
+    return reference_weighted_pick(rng, items, weights, total)
+
+
 def reference_forward_hop(algo, node, packet, rng):
     """A forward ant's next hop as drawn before ``_distribution``."""
     trail = packet.payload
@@ -336,10 +347,7 @@ def reference_forward_hop(algo, node, packet, rng):
     probs = algo.forward_probabilities(node, packet.dst)
     idx = {n: i for i, n in enumerate(nbrs)}
     weights = [probs[idx[n]] for n in candidates]
-    total = sum(weights)
-    if total <= 0:
-        return rng.choice(candidates)
-    return reference_weighted_pick(rng, candidates, weights, total)
+    return reference_draw(rng, candidates, weights)
 
 
 def reference_ant_destination(algo, node, rng):
@@ -421,4 +429,80 @@ def test_ant_draws_match_the_reference_candidate_rule():
     assert reached["leaf"] > 0  # a node with one neighbour
     assert reached["flow_biased"] > 0  # destinations drawn by local data flow
     assert reached["negative"] > 0  # a blended weight below zero
-    assert reached["bisection_differs"] > 0  # falling sums where only a scan is right
+    assert reached["bisection_differs"] > 0  # falling sums, which the bounds must cover
+
+
+def distribution_of(weights):
+    """``_distribution`` over ``weights`` at a node whose neighbours are
+    1..n, none of them excluded."""
+    owner = SimpleNamespace(neighbors={0: list(range(1, len(weights) + 1))})
+    return AntNetRouting._distribution(owner, 0, weights, ())
+
+
+def assert_draw_matches_reference(weights, rng):
+    """``_draw`` over the bounds ``_distribution`` builds picks the item the
+    reference scan picks and leaves ``rng`` in the same state."""
+    reference_rng = random.Random()
+    reference_rng.setstate(rng.getstate())
+    items, bounds, total = distribution_of(weights)
+    expected = reference_draw(reference_rng, items, weights)
+    assert _draw(rng, items, bounds, total) == expected
+    assert rng.getstate() == reference_rng.getstate()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    weights=st.lists(st.floats(-0.5, 1.0), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_draw_matches_the_reference_scan(weights, seed):
+    assert_draw_matches_reference(weights, random.Random(seed))
+
+
+class FixedRandom:
+    """An RNG stand-in whose ``random()`` returns ``u`` and whose ``choice``
+    takes the last item; it records which of the two was called."""
+
+    def __init__(self, u):
+        self.u = u
+        self.calls = []
+
+    def random(self):
+        self.calls.append("random")
+        return self.u
+
+    def choice(self, items):
+        self.calls.append("choice")
+        return items[-1]
+
+
+def test_draw_over_falling_sums():
+    # sums 0.5, 0.1, 0.6: the pick 0.3 is first reached at item 1, while a
+    # bisection over the sums themselves lands on item 3
+    weights = [0.5, -0.4, 0.5]
+    items, bounds, total = distribution_of(weights)
+    pick = 0.5 * total
+    assert items[bisect_left(list(accumulate(weights)), pick)] == 3
+    rng = FixedRandom(0.5)
+    assert _draw(rng, items, bounds, total) == 1
+    assert rng.calls == ["random"]
+    assert reference_draw(FixedRandom(0.5), items, weights) == 1
+
+
+@pytest.mark.parametrize("weights", [[0.25, 0.75], [0.5, 0.75, -0.25], [0.75, -0.5, 0.75]])
+def test_draw_of_the_largest_pick(weights):
+    items, bounds, total = distribution_of(weights)
+    u = math.nextafter(1.0, 0.0)
+    assert u * total == math.nextafter(total, 0.0)
+    expected = reference_draw(FixedRandom(u), items, weights)
+    assert _draw(FixedRandom(u), items, bounds, total) == expected
+
+
+@pytest.mark.parametrize("weights", [[-0.5, 0.25], [0.0, 0.0], [-0.5]])
+def test_draw_with_a_total_not_positive_takes_choice(weights):
+    items, bounds, total = distribution_of(weights)
+    assert total <= 0
+    rng = FixedRandom(0.5)
+    assert _draw(rng, items, bounds, total) == items[-1]
+    assert rng.calls == ["choice"]
+    assert_draw_matches_reference(weights, random.Random(3))

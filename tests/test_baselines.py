@@ -251,7 +251,7 @@ class PQRReference(QRouting):
                     self.last_update[(u, d, n)] = 0.0
 
     def on_data_arrival(self, node, packet, from_node):
-        link = self.net.topo.link(from_node, node)
+        link = self.net.topo.link_map[(from_node, node)]
         hop_time = self.net.sim.now - packet.node_arrival - link.prop_delay_s
         to_go = 0.0 if node == packet.dst else min(self.q[node][packet.dst].values())
         payload = ("qfb", packet.dst, to_go + hop_time)
@@ -407,7 +407,7 @@ def test_daemon_cost_oracle():
     ((dst, _, _, edge_port, index),) = algo.edges[1]
     assert dst == 2 and edge_port is port
     algo.smoothed_queue[index] = 4096.0
-    cost = algo.link_cost(topo.link(1, 2), 4096.0)
+    cost = algo.link_cost(topo.link_map[(1, 2)], 4096.0)
     expected = 0.001 + 4096 / 1.5e6 + 0.6 * 8192 / 1.5e6 + 0.4 * 4096 / 1.5e6
     assert abs(cost - expected) < 1e-12
 

@@ -3,30 +3,30 @@ import math
 import random
 from collections import defaultdict
 
-from antsim.metrics import MetricsCollector, power
+from antsim.metrics import MetricsCollector, log_histogram, nearest_rank, power
 
 
 def test_percentile_nearest_rank():
     m = MetricsCollector()
     for d in range(1, 11):  # delays 1..10
         m.on_delivered(1.0, "data", 100, float(d))
-    assert m.percentile(50) == 5.0
-    assert m.percentile(90) == 9.0
-    assert m.percentile(100) == 10.0
-    assert m.percentile(1) == 1.0
+    assert nearest_rank(sorted(m.delay_samples), 50) == 5.0
+    assert nearest_rank(sorted(m.delay_samples), 90) == 9.0
+    assert nearest_rank(sorted(m.delay_samples), 100) == 10.0
+    assert nearest_rank(sorted(m.delay_samples), 1) == 1.0
 
 
 def test_percentile_empty_is_none():
     m = MetricsCollector()
-    assert m.percentile(90) is None
+    assert nearest_rank(sorted(m.delay_samples), 90) is None
     assert m.summarize(10.0, 1e6)["delay_p90_s"] is None
 
 
 def test_single_sample_percentiles():
     m = MetricsCollector()
     m.on_delivered(1.0, "data", 100, 0.25)
-    assert m.percentile(50) == 0.25
-    assert m.percentile(90) == 0.25
+    assert nearest_rank(sorted(m.delay_samples), 50) == 0.25
+    assert nearest_rank(sorted(m.delay_samples), 90) == 0.25
 
 
 def test_warmup_samples_excluded():
@@ -95,7 +95,7 @@ def test_delay_histogram_bins():
     m.on_delivered(1.0, "data", 100, 1e-5)  # underflow
     m.on_delivered(1.0, "data", 100, 0.01)
     m.on_delivered(1.0, "data", 100, 500.0)  # overflow
-    h = m.delay_histogram(n_bins=4)
+    h = log_histogram(sorted(m.delay_samples), 4)
     assert sum(h["counts"]) == 3
     assert h["counts"][0] == 1
     assert h["counts"][-1] == 1
@@ -154,9 +154,9 @@ def test_sorted_readouts_match_per_call_oracles():
         for d in samples:
             m.on_delivered(1.0, "data", 100, d)
         for p in (0, 1, 10, 50, 90, 99, 100):
-            assert m.percentile(p) == percentile_per_call(samples, p)
+            assert nearest_rank(sorted(m.delay_samples), p) == percentile_per_call(samples, p)
         for n in (1, 4, 7, 24):
-            assert m.delay_histogram(n_bins=n) == histogram_per_sample(samples, n)
+            assert log_histogram(sorted(m.delay_samples), n) == histogram_per_sample(samples, n)
         s = m.summarize(10.0, 1e6)
         assert s["delay_p50_s"] == percentile_per_call(samples, 50)
         assert s["delay_p90_s"] == percentile_per_call(samples, 90)

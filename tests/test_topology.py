@@ -63,7 +63,7 @@ def test_every_link_has_reverse():
     for name in ("simplenet", "nsfnet", "nttnet"):
         topo = builtin_topology(name)
         for link in topo.links:
-            rev = topo.link(link.dst, link.src)
+            rev = topo.link_map[(link.dst, link.src)]
             assert rev.bandwidth_bps == link.bandwidth_bps
             assert rev.prop_delay_s == link.prop_delay_s
 
@@ -133,12 +133,12 @@ def test_file_loader_roundtrip(tmp_path):
     path.write_text(json.dumps(spec))
     topo = load_topology_file(str(path))
     assert topo.n_nodes == 3
-    assert topo.link(1, 2).bandwidth_bps == 2e6
-    assert topo.link(3, 2).prop_delay_s == 0.003
+    assert topo.link_map[(1, 2)].bandwidth_bps == 2e6
+    assert topo.link_map[(3, 2)].prop_delay_s == 0.003
 
 
 def test_per_edge_attribute_lists():
     topo = from_edge_list(3, [(1, 2), (2, 3)], [1e6, 2e6], [0.001, 0.002])
-    assert topo.link(1, 2).bandwidth_bps == 1e6
-    assert topo.link(2, 3).bandwidth_bps == 2e6
-    assert topo.link(3, 2).prop_delay_s == 0.002
+    assert topo.link_map[(1, 2)].bandwidth_bps == 1e6
+    assert topo.link_map[(2, 3)].bandwidth_bps == 2e6
+    assert topo.link_map[(3, 2)].prop_delay_s == 0.002
