@@ -1,5 +1,8 @@
+import json
 import random
+from heapq import heappop, heappush
 
+import networkx as nx
 import pytest
 
 from antsim.baselines import (
@@ -10,12 +13,14 @@ from antsim.baselines import (
     QRouting,
     SpfRouting,
 )
+from antsim.cli import ExperimentConfig, run_trial
 from antsim.engine import Simulator
 from antsim.metrics import MetricsCollector
 from antsim.network import DATA, Network, Packet
 from antsim.routing import dijkstra
-from antsim.topology import builtin_topology, from_edge_list
+from antsim.topology import builtin_topology, from_edge_list, load_topology_file
 
+from test_golden import HOTSPOT_TRAFFIC, UP_TRAFFIC
 from test_routing_core import flood_reach
 
 
@@ -448,6 +453,127 @@ def test_daemon_rejects_nonpositive_cost():
     net.ports[(1, 2)].all_bits = -1e12
     with pytest.raises(ValueError, match="nonpositive cost on link 1->2"):
         net.algorithm.select_next_hop(1, Packet(DATA, 4096, 1, 6, 0.0))
+
+
+def plain_daemon_first_hop(algo, node, packet):
+    """Test-only copy of the daemon's search without its bound: an early-exit
+    Dijkstra that pops ``(distance, first hop, node)`` and prices links as
+    ``select_next_hop`` does. Returns the first hop, without changing
+    ``algo``."""
+    bits = packet.size
+    mix = algo.queue_mix
+    rest = 1.0 - mix
+    smoothed = algo.smoothed_queue
+    settled = [False] * len(algo.edges)
+    heap = [(0.0, 0, node)]
+    while heap:
+        d, first, u = heappop(heap)
+        if settled[u]:
+            continue
+        if u == packet.dst:
+            break
+        settled[u] = True
+        for v, prop, bw, port, i in algo.edges[u]:
+            cost = prop + bits / bw + rest * port.all_bits / bw + mix * smoothed[i] / bw
+            if not settled[v]:
+                heappush(heap, (d + cost, first or v, v))
+    return first
+
+
+# (topology, traffic, run length in s, decisions the trial makes at least);
+# the daemon sends nothing in warm-up, so the trials skip it. The hot spot at
+# node 4 runs from 1 s to 5 s and fills the queues that price the links.
+WHOLE_TRIALS = [
+    ("nsfnet", UP_TRAFFIC, 6.0, 9_000),
+    ("nsfnet", HOTSPOT_TRAFFIC, 6.0, 27_000),
+    ("nttnet", UP_TRAFFIC, 3.0, 50_000),
+]
+
+
+@pytest.mark.parametrize(
+    "topology,traffic,run_length_s,floor", WHOLE_TRIALS, ids=["nsfnet-up", "nsfnet-hotspot", "nttnet-up"]
+)
+def test_daemon_search_matches_plain_dijkstra_on_every_decision(
+    monkeypatch, topology, traffic, run_length_s, floor
+):
+    decisions = []
+    select_next_hop = DaemonRouting.select_next_hop
+
+    def checked(algo, node, packet):
+        expected = plain_daemon_first_hop(algo, node, packet)
+        hop = select_next_hop(algo, node, packet)
+        assert hop == expected, (algo.net.sim.now, node, packet.dst)
+        decisions.append(hop)
+        return hop
+
+    monkeypatch.setattr(DaemonRouting, "select_next_hop", checked)
+    cfg = ExperimentConfig(
+        topology=topology,
+        algorithm="daemon",
+        traffic=dict(traffic),
+        warmup_s=0.0,
+        run_length_s=run_length_s,
+        trials=1,
+        master_seed=11,
+    )
+    run_trial(cfg, 0)
+    assert len(decisions) >= floor
+
+
+def zero_delay_topology(tmp_path):
+    """A topology file with 0 s links, so that bounds tie along 1-2 and 3-4."""
+    links = [
+        (1, 2, 1.5e6, 0.0),
+        (2, 3, 1.5e6, 0.002),
+        (3, 4, 4.5e6, 0.0),
+        (1, 4, 1.5e6, 0.005),
+        (4, 5, 1.5e6, 0.001),
+        (2, 5, 4.5e6, 0.0),
+        (5, 6, 1.5e6, 0.003),
+        (3, 6, 1.5e6, 0.0),
+    ]
+    spec = {
+        "nodes": 6,
+        "links": [
+            {"a": a, "b": b, "bandwidth_bps": bw, "prop_delay_s": delay}
+            for a, b, bw, delay in links
+        ],
+    }
+    path = tmp_path / "zero_delay.json"
+    path.write_text(json.dumps(spec))
+    return load_topology_file(str(path))
+
+
+@pytest.mark.parametrize("topo_name", ["simplenet", "nsfnet", "nttnet", "zero-delay"])
+def test_daemon_bound_is_least_propagation_delay(tmp_path, topo_name):
+    topo = zero_delay_topology(tmp_path) if topo_name == "zero-delay" else builtin_topology(topo_name)
+    _, net, _ = build(DaemonRouting(), topo=topo)
+    graph = nx.DiGraph()
+    for link in topo.links:
+        graph.add_edge(link.src, link.dst, weight=link.prop_delay_s)
+    reverse = graph.reverse()
+    lower = net.algorithm.lower
+    assert len(lower) == topo.n_nodes + 1 and lower[0] == []
+    for dst in topo.nodes:
+        expected = nx.single_source_dijkstra_path_length(reverse, dst)
+        assert lower[dst][1:] == [expected[v] for v in topo.nodes]
+
+
+def test_daemon_with_zero_delay_links_matches_reference(tmp_path):
+    _, net, _ = build(DaemonRouting(), topo=zero_delay_topology(tmp_path))
+    algo = net.algorithm
+    topo = net.topo
+    assert algo.lower[2][1] == algo.lower[4][3] == 0.0
+    rng = random.Random("zero-delay")
+    for draw in range(300):
+        idle = draw % 4 == 0  # all-zero queues: equal-cost paths tie
+        for port in net.ports.values():
+            port.all_bits = 0.0 if idle or rng.random() < 0.3 else rng.uniform(0.0, 2e5)
+        node, dst = rng.sample(topo.nodes, 2)
+        packet = Packet(DATA, rng.choice((4096.0, rng.uniform(64.0, 1e5))), node, dst, 0.0)
+        nxt, smoothed = daemon_reference(algo, node, packet)
+        assert algo.select_next_hop(node, packet) == nxt
+        assert [x.hex() for x in algo.smoothed_queue] == [x.hex() for x in smoothed]
 
 
 def test_daemon_emits_no_routing_packets():
