@@ -46,6 +46,18 @@ OSPF_PARAMS = {"ospf": {"broadcast_interval_s": 2.0}}
 # can reach a node a rounding step apart; the case locks the order in which
 # AntNet sees them
 FREQUENT_ANTS = {"antnet": {"launch_interval_s": 0.006}}
+# a persistent overlay from two sampled hot spots (no hot_spot_nodes) over
+# randomized per-node session means and CBR streams: the UP-HS pattern
+UP_HS_TRAFFIC = {
+    "temporal": "P",
+    "spatial": "R",
+    "stream": "CBR",
+    "msia_s": 1.0,
+    "hs_count": 2,
+    "mpia_hs_s": 0.02,
+}
+# one persistent session per ordered node pair for the whole run
+FIXED_TRAFFIC = {"temporal": "F", "stream": "GVBR", "mpia_s": 0.02}
 # case name -> node buffer in bits, patched onto Network for that case only;
 # 2e5 bits overflow under the hot spot, so the lock covers buffer drops of
 # data (under every algorithm), ants and routing packets
@@ -60,6 +72,8 @@ CASES = {
     "nsfnet-hotspot-ttl": ("nsfnet", TTL_TRAFFIC, 19.0, ["bf", "pqr"], {}),
     "nsfnet-ants": ("nsfnet", UP_TRAFFIC, 6.0, ["antnet"], FREQUENT_ANTS),
     "nsfnet-hotspot-buffer": ("nsfnet", HOTSPOT_TRAFFIC, 6.0, sorted(ALGORITHMS), OSPF_PARAMS),
+    "nsfnet-up-hs": ("nsfnet", UP_HS_TRAFFIC, 6.0, ["antnet", "spf"], {}),
+    "simplenet-fixed": ("simplenet", FIXED_TRAFFIC, 6.0, ["antnet", "qr"], {}),
 }
 
 
