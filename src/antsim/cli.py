@@ -202,27 +202,22 @@ def _dump_series_csv(path: str, series: List[dict]) -> None:
         writer.writerows(series)
 
 
-def run_experiment(cfg: ExperimentConfig, write: bool = True) -> dict:
-    """Run all trials; optionally write per-trial and aggregate result files."""
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """Run all trials and write their per-trial and aggregate result files."""
     out = os.path.join(cfg.out_dir, cfg.label)
-    if write:
-        os.makedirs(out, exist_ok=True)
+    os.makedirs(out, exist_ok=True)
     summaries = []
     for trial in range(cfg.trials):
         summary, series = run_trial(cfg, trial)
         summaries.append(summary)
-        if write:
-            _dump_json(os.path.join(out, f"trial_{trial}.json"), summary)
-            _dump_series_csv(os.path.join(out, f"trial_{trial}_series.csv"), series)
+        _dump_json(os.path.join(out, f"trial_{trial}.json"), summary)
+        _dump_series_csv(os.path.join(out, f"trial_{trial}_series.csv"), series)
     agg = aggregate_summaries(summaries)
-    if write:
-        _dump_json(os.path.join(out, "aggregate.json"), agg)
+    _dump_json(os.path.join(out, "aggregate.json"), agg)
     return agg
 
 
-def sweep(
-    cfg: ExperimentConfig, path: str, values: List[float], label: str, write: bool = True
-) -> List[dict]:
+def sweep(cfg: ExperimentConfig, path: str, values: List[float], label: str) -> List[dict]:
     """One aggregate per value of the dotted config key ``path``, such as
     ``"traffic.msia_s"``; each aggregate also holds its value under the
     key's last part. Point ``v`` runs as label ``f"{label}_{v:g}"``. Every
@@ -243,33 +238,31 @@ def sweep(
     ]
     rows = []
     for v, point in zip(values, points):
-        agg = run_experiment(point, write=write)
+        agg = run_experiment(point)
         agg[key] = v
         rows.append(agg)
     return rows
 
 
-def sweep_ant_rate(cfg: ExperimentConfig, rates: List[float], write: bool = True) -> List[dict]:
+def sweep_ant_rate(cfg: ExperimentConfig, rates: List[float]) -> List[dict]:
     """Power-vs-overhead table over ant launch intervals (antnet only)."""
     if cfg.algorithm != "antnet":
         raise ConfigError("algorithm: sweep-rate requires antnet")
-    points = sweep(cfg, "algorithm_params.launch_interval_s", rates, "rate", write)
+    points = sweep(cfg, "algorithm_params.launch_interval_s", rates, "rate")
     rows = [{k: agg[k] for k in ("launch_interval_s", "overhead", "power")} for agg in points]
     peak = max((r["power"] for r in rows if r["power"] is not None), default=None)
     for r in rows:
         r["normalized_power"] = (
             r["power"] / peak if peak and r["power"] is not None else None
         )
-    if write:
-        _dump_json(os.path.join(cfg.out_dir, "rate_sweep.json"), rows)
+    _dump_json(os.path.join(cfg.out_dir, "rate_sweep.json"), rows)
     return rows
 
 
-def sweep_load(cfg: ExperimentConfig, msia_list: List[float], write: bool = True) -> List[dict]:
+def sweep_load(cfg: ExperimentConfig, msia_list: List[float]) -> List[dict]:
     """One aggregate per session inter-arrival load point."""
-    rows = sweep(cfg, "traffic.msia_s", msia_list, f"{cfg.label}_msia", write)
-    if write:
-        _dump_json(os.path.join(cfg.out_dir, f"{cfg.label}_load_sweep.json"), rows)
+    rows = sweep(cfg, "traffic.msia_s", msia_list, f"{cfg.label}_msia")
+    _dump_json(os.path.join(cfg.out_dir, f"{cfg.label}_load_sweep.json"), rows)
     return rows
 
 

@@ -31,13 +31,14 @@ BOTTLENECK_TRAFFIC = {
 }
 
 
-def test_acceptance_1_bottleneck_multipath():
+def test_acceptance_1_bottleneck_multipath(tmp_path):
     thr = {}
     for algo in ("antnet", "daemon", "ospf", "spf", "bf", "pqr"):
         cfg = ExperimentConfig(
             topology="simplenet", algorithm=algo, traffic=dict(BOTTLENECK_TRAFFIC),
-            run_length_s=120.0, warmup_s=30.0, trials=2, master_seed=7)
-        thr[algo] = run_experiment(cfg, write=False)["throughput_bps"]
+            run_length_s=120.0, warmup_s=30.0, trials=2, master_seed=7,
+            out_dir=str(tmp_path))
+        thr[algo] = run_experiment(cfg)["throughput_bps"]
     singles = max(thr["ospf"], thr["spf"], thr["bf"])
     ok = (
         thr["antnet"] >= 0.9 * thr["daemon"]
@@ -76,7 +77,7 @@ OVERHEAD_REFERENCE = {
 }
 
 
-def test_acceptance_3_overhead_ordering():
+def test_acceptance_3_overhead_ordering(tmp_path):
     params = {"spf": {"broadcast_interval_s": 3.0},
               "bf": {"broadcast_interval_s": 0.8},
               "ospf": {"broadcast_interval_s": 30.0}}
@@ -86,8 +87,9 @@ def test_acceptance_3_overhead_ordering():
             topology="nsfnet", algorithm=algo,
             algorithm_params=params.get(algo, {}),
             traffic=dict(OVERHEAD_TRAFFIC),
-            run_length_s=60.0, warmup_s=20.0, trials=1, master_seed=11)
-        ovh[algo] = run_experiment(cfg, write=False)["overhead"]
+            run_length_s=60.0, warmup_s=20.0, trials=1, master_seed=11,
+            out_dir=str(tmp_path))
+        ovh[algo] = run_experiment(cfg)["overhead"]
     nonzero = {a: v for a, v in ovh.items() if v > 0}
     within_factor_3 = all(
         OVERHEAD_REFERENCE[a] / 3 <= ovh[a] <= OVERHEAD_REFERENCE[a] * 3
@@ -105,15 +107,16 @@ def test_acceptance_3_overhead_ordering():
     assert report(3, ok, f"routing overhead ratios: {detail}")
 
 
-def test_acceptance_4_ant_rate_sweep():
+def test_acceptance_4_ant_rate_sweep(tmp_path):
     cfg = ExperimentConfig(
         topology="nsfnet", algorithm="antnet",
         traffic={"temporal": "P", "spatial": "U", "stream": "GVBR",
                  "msia_s": 2.4, "mpia_s": 0.0015, "mean_packet_bits": 4096,
                  "packets_per_session": 100},
-        run_length_s=60.0, warmup_s=30.0, trials=2, master_seed=21)
+        run_length_s=60.0, warmup_s=30.0, trials=2, master_seed=21,
+        out_dir=str(tmp_path))
     rates = [0.006, 0.025, 0.1, 0.3, 1.0, 3.0, 25.0]
-    rows = sweep_ant_rate(cfg, rates, write=False)
+    rows = sweep_ant_rate(cfg, rates)
     overheads = [r["overhead"] for r in rows]
     powers = [r["normalized_power"] for r in rows]
     decreasing = all(a > b for a, b in zip(overheads, overheads[1:]))

@@ -167,19 +167,20 @@ def test_workload_identical_across_algorithms():
     assert len(set(generated.values())) == 1
 
 
-def test_sweep_rate_requires_antnet():
+def test_sweep_rate_requires_antnet(tmp_path):
     with pytest.raises(ConfigError):
-        sweep_ant_rate(small_config(algorithm="spf"), [0.3], write=False)
+        sweep_ant_rate(small_config(algorithm="spf", out_dir=str(tmp_path)), [0.3])
 
 
-def test_sweeps_validate_every_point_before_the_first_trial(monkeypatch):
+def test_sweeps_validate_every_point_before_the_first_trial(tmp_path, monkeypatch):
     ran = []
     monkeypatch.setattr(cli, "run_trial", lambda cfg, trial: ran.append(cfg))
+    cfg = small_config(out_dir=str(tmp_path))
     with pytest.raises(ConfigError, match="launch_interval_s"):
-        sweep_ant_rate(small_config(), [0.3, 0.0], write=False)
+        sweep_ant_rate(cfg, [0.3, 0.0])
     with pytest.raises(ConfigError, match="traffic"):
-        sweep_load(small_config(), [2.0, math.nan], write=False)
-    assert ran == []
+        sweep_load(cfg, [2.0, math.nan])
+    assert ran == [] and os.listdir(tmp_path) == []
 
 
 def test_sweep_values_that_share_a_label_are_rejected_before_the_first_trial(
@@ -209,15 +210,15 @@ def test_main_sweep_rate_rejects_zero_rate(tmp_path, capsys, monkeypatch):
     assert ran == [] and not out.exists()
 
 
-def test_sweep_rate_single_point_normalizes_to_one():
-    rows = sweep_ant_rate(small_config(trials=1), [0.3], write=False)
+def test_sweep_rate_single_point_normalizes_to_one(tmp_path):
+    rows = sweep_ant_rate(small_config(trials=1, out_dir=str(tmp_path)), [0.3])
     assert len(rows) == 1
     assert rows[0]["normalized_power"] == 1.0
 
 
-def test_sweep_load_one_aggregate_per_point():
-    cfg = small_config(trials=1)
-    rows = sweep_load(cfg, [2.0, 1.0], write=False)
+def test_sweep_load_one_aggregate_per_point(tmp_path):
+    cfg = small_config(trials=1, out_dir=str(tmp_path))
+    rows = sweep_load(cfg, [2.0, 1.0])
     assert [r["msia_s"] for r in rows] == [2.0, 1.0]
     assert all("throughput_bps" in r for r in rows)
     # heavier load (smaller inter-arrival mean) carries more bits
@@ -380,11 +381,13 @@ def test_unusable_config_file_exits_2(tmp_path, capsys, name, content):
     assert not out.exists()
 
 
-def test_topology_is_resolved_once_per_experiment(monkeypatch):
+def test_topology_is_resolved_once_per_experiment(tmp_path, monkeypatch):
     calls = []
     resolve = cli.resolve_topology
     monkeypatch.setattr(cli, "resolve_topology", lambda name: calls.append(name) or resolve(name))
-    run_experiment(small_config(trials=3, run_length_s=2.0, warmup_s=1.0), write=False)
+    run_experiment(
+        small_config(trials=3, run_length_s=2.0, warmup_s=1.0, out_dir=str(tmp_path))
+    )
     assert calls == ["simplenet"]
 
 
