@@ -266,7 +266,9 @@ class Session:
 
     ``interval`` and ``size`` are called once per packet for the gap to the
     next packet and the packet's bits; ``traffic.TrafficSource`` picks them
-    from the stream type."""
+    from the stream type. The session sends until it has sent
+    ``packets_remaining`` packets or passed ``end_time``; a persistent
+    session passes ``math.inf`` packets, so only ``end_time`` stops it."""
 
     def __init__(
         self,
@@ -275,7 +277,7 @@ class Session:
         dst: int,
         interval: Callable[[], float],
         size: Callable[[], float],
-        packets_remaining: Optional[int],  # None = until end_time
+        packets_remaining: float,
         end_time: float,
     ):
         self.net = net
@@ -292,11 +294,8 @@ class Session:
     def _generate(self) -> None:
         net = self.net
         now = net.sim.now
-        if now > self.end_time:
+        if now > self.end_time or self.packets_remaining <= 0:
             return
-        if self.packets_remaining is not None:
-            if self.packets_remaining <= 0:
-                return
-            self.packets_remaining -= 1
+        self.packets_remaining -= 1
         net.inject_data(self.src, self.dst, self._size())
         net.sim.schedule(now + self._interval(), self._generate)

@@ -3,6 +3,7 @@ temporary hot spots), spatial distributions and per-session bit streams."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, Optional, Tuple
@@ -99,14 +100,15 @@ class TrafficSource:
         else:  # P base, with or without the TMPHS overlay
             for node in self.net.topo.nodes:
                 self._schedule_next_arrival(node)
-            if spec.temporal == "TMPHS":
-                on = self.t_start + spec.hot_spot_on_s
-                off = self.t_start + spec.hot_spot_off_s
-                if off > on:
-                    sim.schedule(on, self._start_hot_spots, off)
-        # A persistent hot-spot overlay (e.g. UP-HS) runs for the whole span.
-        if spec.temporal != "TMPHS" and spec.hs_count > 0:
-            sim.schedule(self.t_start, self._start_hot_spots, self.t_end)
+        # The hot-spot overlay runs from `on` to `off`, cut at t_end: under
+        # TMPHS the configured offsets from t_start, otherwise the whole span
+        # when hs_count > 0 (UP-HS), and no overlay when off <= on.
+        if spec.temporal == "TMPHS":
+            on, off = self.t_start + spec.hot_spot_on_s, self.t_start + spec.hot_spot_off_s
+        else:
+            on, off = self.t_start, (self.t_end if spec.hs_count > 0 else self.t_start)
+        if off > on:
+            sim.schedule(on, self._start_hot_spots, min(self.t_end, off))
 
     # -- fixed sessions ------------------------------------------------------
 
@@ -117,7 +119,7 @@ class TrafficSource:
             nodes = self.net.topo.nodes
             pairs = [(s, d) for s in nodes for d in nodes if s != d]
         for src, dst in pairs:
-            self._open_session(src, dst, spec.mpia_s, persistent=True)
+            self._open_session(src, dst, spec.mpia_s, math.inf, self.t_end)
 
     # -- Poisson sessions ----------------------------------------------------
 
@@ -129,7 +131,8 @@ class TrafficSource:
 
     def _session_arrival(self, node: int) -> None:
         src, dst = self.pick_session_endpoints(node)
-        self._open_session(src, dst, self.spec.mpia_s, persistent=False)
+        spec = self.spec
+        self._open_session(src, dst, spec.mpia_s, spec.packets_per_session, self.t_end)
         self._schedule_next_arrival(node)
 
     def pick_session_endpoints(self, node: int) -> Tuple[int, int]:
@@ -138,11 +141,11 @@ class TrafficSource:
 
     # -- hot spots -----------------------------------------------------------
 
-    def _start_hot_spots(self, until: float) -> None:
+    def _start_hot_spots(self, end_time: float) -> None:
         for hs in self.hot_spots:
             for dst in self.net.topo.nodes:
                 if dst != hs:
-                    self._open_session(hs, dst, self.spec.mpia_hs_s, persistent=True, until=until)
+                    self._open_session(hs, dst, self.spec.mpia_hs_s, math.inf, end_time)
 
     # -- session plumbing ----------------------------------------------------
 
@@ -155,15 +158,7 @@ class TrafficSource:
         return partial(rng.expovariate, 1.0 / mean)
 
     def _open_session(
-        self, src: int, dst: int, mpia_s: float, persistent: bool, until: Optional[float] = None
+        self, src: int, dst: int, mpia_s: float, packets: float, end_time: float
     ) -> None:
-        spec = self.spec
-        Session(
-            self.net,
-            src,
-            dst,
-            self._per_packet(self.interval_rng, mpia_s),
-            self._size,
-            packets_remaining=None if persistent else spec.packets_per_session,
-            end_time=min(self.t_end, until) if until is not None else self.t_end,
-        ).start()
+        interval = self._per_packet(self.interval_rng, mpia_s)
+        Session(self.net, src, dst, interval, self._size, packets, end_time).start()

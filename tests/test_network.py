@@ -359,7 +359,7 @@ def test_session_draws_each_packet_and_stops_after_packets_remaining():
 
 def test_session_stops_at_end_time():
     sim, net, metrics = two_node_net()
-    s = Session(net, 1, 2, lambda: 0.1, lambda: 4096.0, packets_remaining=None, end_time=1.0)
+    s = Session(net, 1, 2, lambda: 0.1, lambda: 4096.0, packets_remaining=math.inf, end_time=1.0)
     s.start()
     sim.run_until(5.0)
     assert metrics.generated_count["data"] == 10
