@@ -83,10 +83,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{key}: must be {expected}, got {type(value).__name__}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm: unknown value {self.algorithm!r}")
-        if not self.warmup_s >= 0:
-            raise ConfigError("warmup_s: must be >= 0")
-        if not self.run_length_s > 0:
-            raise ConfigError("run_length_s: must be > 0")
+        if not 0 <= self.warmup_s < math.inf:
+            raise ConfigError("warmup_s: must be a finite number >= 0")
+        if not 0 < self.run_length_s < math.inf:
+            raise ConfigError("run_length_s: must be a finite number > 0")
         if self.trials < 1:
             raise ConfigError("trials: must be >= 1")
         # derived, not a field: every trial builds its network on this graph

@@ -180,6 +180,8 @@ def test_sweeps_validate_every_point_before_the_first_trial(tmp_path, monkeypatc
         sweep_ant_rate(cfg, [0.3, 0.0])
     with pytest.raises(ConfigError, match="traffic"):
         sweep_load(cfg, [2.0, math.nan])
+    with pytest.raises(ConfigError, match="msia_s"):
+        sweep_load(cfg, [2.0, math.inf])
     assert ran == [] and os.listdir(tmp_path) == []
 
 
@@ -284,6 +286,10 @@ SELF_LOOP_TOPOLOGY = {
     ],
 }
 RUN = ["run"]
+# one sampled hot spot from 1 s to 2 s after warm-up
+TMPHS_TRAFFIC = dict(
+    SMALL_TRAFFIC, temporal="TMPHS", hs_count=1, hot_spot_on_s=1.0, hot_spot_off_s=2.0
+)
 
 
 @pytest.mark.parametrize(
@@ -329,6 +335,29 @@ RUN = ["run"]
         pytest.param("traffic", {"traffic": [1]}, None, RUN, id="traffic_list"),
         pytest.param("algorithm_params", {"algorithm_params": "x"}, None, RUN,
                      id="algorithm_params_str"),
+        pytest.param("run_length_s", {"run_length_s": math.inf}, None, RUN,
+                     id="run_length_s_inf"),
+        pytest.param("warmup_s", {"warmup_s": math.inf}, None, RUN, id="warmup_s_inf"),
+        pytest.param("traffic", {"traffic": dict(SMALL_TRAFFIC, msia_s=math.inf)}, None, RUN,
+                     id="msia_s_inf"),
+        pytest.param("traffic", {"traffic": dict(SMALL_TRAFFIC, mpia_s=math.inf)}, None, RUN,
+                     id="mpia_s_inf"),
+        pytest.param("traffic", {"traffic": dict(SMALL_TRAFFIC, mean_packet_bits=math.inf)},
+                     None, RUN, id="mean_packet_bits_inf"),
+        pytest.param("traffic", {"traffic": dict(SMALL_TRAFFIC, hs_count=1.5)}, None, RUN,
+                     id="hs_count_float"),
+        pytest.param(
+            "traffic", {"traffic": dict(TMPHS_TRAFFIC, hot_spot_on_s=-1.0)}, None, RUN,
+            id="hot_spot_on_s_negative",
+        ),
+        pytest.param(
+            "traffic", {"traffic": dict(TMPHS_TRAFFIC, hot_spot_on_s=math.nan)}, None, RUN,
+            id="hot_spot_on_s_nan",
+        ),
+        pytest.param(
+            "traffic", {"traffic": dict(SMALL_TRAFFIC, packets_per_session=True)}, None, RUN,
+            id="packets_per_session_bool",
+        ),
     ],
 )
 def test_bad_experiment_exits_2_before_any_output(

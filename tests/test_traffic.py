@@ -44,7 +44,17 @@ def test_spec_validation():
         ("packets_per_session", 0),
         ("packets_per_session", -3),
         ("packets_per_session", 2.5),
+        ("packets_per_session", True),
         ("hs_count", -1),
+        ("hs_count", 1.5),
+        ("hs_count", True),
+        ("msia_s", math.inf),
+        ("mpia_s", math.inf),
+        ("mpia_hs_s", math.inf),
+        ("mean_packet_bits", math.inf),
+        ("hot_spot_on_s", -1.0),
+        ("hot_spot_on_s", math.nan),
+        ("hot_spot_off_s", math.inf),
     ):
         with pytest.raises(ValueError, match=key):
             TrafficSpec(**{key: bad})
