@@ -226,3 +226,53 @@ def test_persistent_hot_spot_overlay_runs_whole_span():
     gen = net.metrics.generated_count["data"]
     expected = 2 * 7 * 50.0 / 0.5
     assert abs(gen - expected) / expected < 0.05
+
+
+def test_tmphs_window_past_t_end_sends_nothing_after_t_end():
+    sim, net = make_net(seed=2)
+    gen = generated_packets(net)
+    spec = TrafficSpec(
+        temporal="TMPHS", msia_s=1e9, mpia_s=1.0, stream="CBR",
+        hs_count=1, mpia_hs_s=0.5, hot_spot_on_s=5.0, hot_spot_off_s=20.0,
+        hot_spot_nodes=[4],
+    )
+    TrafficSource(net, spec, 0.0, 10.0).start()
+    sim.run_until(30.0)
+    # 7 hot-spot sessions, each sending at 5.5, 6.0, ..., 10.0
+    assert len(gen) == 7 * 10
+    assert max(t for t, _ in gen) == 10.0
+
+
+@pytest.mark.parametrize(
+    "overlay",
+    [
+        dict(temporal="TMPHS", hot_spot_on_s=5.0, hot_spot_off_s=5.0),
+        dict(temporal="TMPHS", hot_spot_on_s=5.0, hot_spot_off_s=3.0),
+        dict(temporal="P"),  # hs_count 0: named hot spots alone run no overlay
+    ],
+    ids=["off_equals_on", "off_before_on", "hs_count_0"],
+)
+def test_empty_hot_spot_window_opens_no_session(overlay):
+    sim, net = make_net(seed=2)
+    spec = TrafficSpec(msia_s=1e9, mpia_hs_s=0.5, hot_spot_nodes=[4], **overlay)
+    src = TrafficSource(net, spec, 0.0, 10.0)
+    sessions = []
+    src._open_session = lambda *args: sessions.append(args)
+    src.start()
+    sim.run_until(10.0)
+    assert sessions == []
+
+
+def test_persistent_hot_spot_overlay_runs_whole_span_under_fixed_sessions():
+    sim, net = make_net(seed=2)
+    gen = generated_packets(net)
+    spec = TrafficSpec(temporal="F", mpia_s=1.0, stream="CBR", fixed_pairs=[(1, 2)],
+                       hs_count=2, mpia_hs_s=0.5)
+    src = TrafficSource(net, spec, 0.0, 20.0)
+    src.start()
+    sim.run_until(25.0)
+    assert len(src.hot_spots) == 2
+    # the fixed pair sends at 1, 2, ..., 20 s and each of the 2 x 7 hot-spot
+    # sessions at 0.5, 1.0, ..., 20 s
+    assert len(gen) == 20 + 2 * 7 * 40
+    assert sum(1 for t, _ in gen if t == 20.0) == 1 + 2 * 7
