@@ -237,7 +237,7 @@ def test_tmphs_window_past_t_end_sends_nothing_after_t_end():
         hot_spot_nodes=[4],
     )
     TrafficSource(net, spec, 0.0, 10.0).start()
-    sim.run_until(30.0)
+    sim.run_until(15.0)
     # 7 hot-spot sessions, each sending at 5.5, 6.0, ..., 10.0
     assert len(gen) == 7 * 10
     assert max(t for t, _ in gen) == 10.0
