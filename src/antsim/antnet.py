@@ -9,6 +9,7 @@ from bisect import bisect_left
 from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
+from antsim.checks import check_number
 from antsim.network import BACKWARD_ANT, FORWARD_ANT, Packet, Port
 from antsim.routing import RoutingAlgorithm
 
@@ -167,8 +168,7 @@ class AntNetRouting(RoutingAlgorithm):
     elab_s = 0.003
 
     def __init__(self, launch_interval_s: float = 0.3):
-        if not launch_interval_s > 0:  # math.inf switches ants off
-            raise ValueError(f"launch_interval_s must be > 0, got {launch_interval_s!r}")
+        check_number("launch_interval_s", launch_interval_s, 0, finite=False)  # inf: no ants
         self.launch_interval_s = launch_interval_s
 
     def attach(self, net) -> None:

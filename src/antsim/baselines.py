@@ -7,6 +7,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Dict, List, Tuple
 
+from antsim.checks import check_number
 from antsim.network import Packet
 from antsim.routing import CostTable, LinkCostEstimator, RoutingAlgorithm, dijkstra
 
@@ -41,8 +42,7 @@ class _PeriodicBroadcast(RoutingAlgorithm):
     routing state to its neighbors; subclasses supply ``_broadcast(node)``."""
 
     def __init__(self, broadcast_interval_s: float = 0.8):
-        if not broadcast_interval_s > 0:
-            raise ValueError(f"broadcast_interval_s must be > 0, got {broadcast_interval_s!r}")
+        check_number("broadcast_interval_s", broadcast_interval_s, 0, finite=False)
         self.broadcast_interval_s = broadcast_interval_s
 
     def _schedule_broadcast(self) -> None:

@@ -21,6 +21,7 @@ from antsim.baselines import (
     QRouting,
     SpfRouting,
 )
+from antsim.checks import ConfigError, check_number
 from antsim.engine import Simulator
 from antsim.metrics import MetricsCollector, power
 from antsim.network import Network
@@ -41,21 +42,12 @@ ALGORITHMS = {
 }
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration; message names the offending key."""
-
-
-# (key, accepted types, name in the error) of the top-level values whose
-# type the checks below and run_experiment rely on. bool is an int subclass,
-# but none of these may be one.
+# (key, accepted types, name in the error) of the top-level values that are
+# not numbers, whose type the checks below and run_experiment rely on
 _FIELD_TYPES = [
     ("algorithm", str, "a string"),
     ("out_dir", str, "a string"),
     ("label", str, "a string"),
-    ("trials", int, "an integer"),
-    ("master_seed", int, "an integer"),
-    ("warmup_s", (int, float), "a number"),
-    ("run_length_s", (int, float), "a number"),
     ("traffic", dict, "an object"),
     ("algorithm_params", dict, "an object"),
 ]
@@ -79,16 +71,14 @@ class ExperimentConfig:
             self.label = self.algorithm
         for key, types, expected in _FIELD_TYPES:
             value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, types):
+            if not isinstance(value, types):
                 raise ConfigError(f"{key}: must be {expected}, got {type(value).__name__}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm: unknown value {self.algorithm!r}")
-        if not 0 <= self.warmup_s < math.inf:
-            raise ConfigError("warmup_s: must be a finite number >= 0")
-        if not 0 < self.run_length_s < math.inf:
-            raise ConfigError("run_length_s: must be a finite number > 0")
-        if self.trials < 1:
-            raise ConfigError("trials: must be >= 1")
+        check_number("trials", self.trials, 0, integer=True)
+        check_number("master_seed", self.master_seed, integer=True)
+        check_number("warmup_s", self.warmup_s, 0, strict=False)
+        check_number("run_length_s", self.run_length_s, 0)
         # derived, not a field: every trial builds its network on this graph
         self.topo = resolve_topology(self.topology)
         try:

@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Dict, List, Tuple
 
+from antsim.checks import check_number
+
 BUILTIN_NAMES = ("simplenet", "nsfnet", "nttnet")
 
 
@@ -33,10 +35,8 @@ class Topology:
         self.link_map: Dict[Tuple[int, int], Link] = {}
         for link in self.links:
             name = f"link {link.src}->{link.dst}"
-            if not 0 < link.bandwidth_bps < math.inf:
-                raise ValueError(f"{name}: bandwidth must be finite and > 0")
-            if not 0 <= link.prop_delay_s < math.inf:
-                raise ValueError(f"{name}: delay must be finite and >= 0")
+            check_number(f"{name}: bandwidth", link.bandwidth_bps, 0)
+            check_number(f"{name}: delay", link.prop_delay_s, 0, strict=False)
             if link.src not in self.out_links or link.dst not in self.out_links:
                 raise ValueError(f"{name}: endpoint outside 1..{self.n_nodes}")
             if link.src == link.dst:

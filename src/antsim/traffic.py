@@ -8,19 +8,12 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, Optional, Tuple
 
+from antsim.checks import check_number
 from antsim.network import Network, Session
 from antsim.topology import Topology
 
 DEFAULT_MEAN_PACKET_BITS = 4096.0
 DEFAULT_PACKETS_PER_SESSION = 50
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -41,25 +34,18 @@ class TrafficSpec:
 
     def __post_init__(self):
         for key in ("msia_s", "mpia_s", "mpia_hs_s", "mean_packet_bits"):
-            value = getattr(self, key)
-            if not (_is_number(value) and 0 < value < math.inf):
-                raise ValueError(f"{key} must be a finite number > 0, got {value!r}")
+            check_number(key, getattr(self, key), 0)
         for key in ("hot_spot_on_s", "hot_spot_off_s"):
-            value = getattr(self, key)
-            if value is not None and not (_is_number(value) and 0 <= value < math.inf):
-                raise ValueError(f"{key} must be null or a finite number >= 0, got {value!r}")
+            if getattr(self, key) is not None:
+                check_number(key, getattr(self, key), 0, strict=False)
         if self.temporal not in ("P", "F", "TMPHS"):
             raise ValueError(f"unknown temporal model {self.temporal!r}")
         if self.spatial not in ("U", "R"):
             raise ValueError(f"unknown spatial model {self.spatial!r}")
         if self.stream not in ("CBR", "GVBR"):
             raise ValueError(f"unknown stream type {self.stream!r}")
-        if not (_is_int(self.packets_per_session) and self.packets_per_session >= 1):
-            raise ValueError(
-                f"packets_per_session must be an int >= 1, got {self.packets_per_session!r}"
-            )
-        if not (_is_int(self.hs_count) and self.hs_count >= 0):
-            raise ValueError(f"hs_count must be an int >= 0, got {self.hs_count!r}")
+        check_number("packets_per_session", self.packets_per_session, 0, integer=True)
+        check_number("hs_count", self.hs_count, 0, strict=False, integer=True)
         if self.temporal == "TMPHS" and None in (self.hot_spot_on_s, self.hot_spot_off_s):
             raise ValueError("TMPHS requires hot_spot_on_s and hot_spot_off_s")
 
