@@ -30,6 +30,7 @@ class Topology:
     links: List[Link] = field(default_factory=list)
 
     def __post_init__(self):
+        check_number("nodes", self.n_nodes, 0, integer=True)
         self.nodes = list(range(1, self.n_nodes + 1))
         self.out_links: Dict[int, List[Link]] = {u: [] for u in self.nodes}
         self.link_map: Dict[Tuple[int, int], Link] = {}
@@ -37,6 +38,8 @@ class Topology:
             name = f"link {link.src}->{link.dst}"
             check_number(f"{name}: bandwidth", link.bandwidth_bps, 0)
             check_number(f"{name}: delay", link.prop_delay_s, 0, strict=False)
+            check_number(f"{name}: endpoint", link.src, integer=True)
+            check_number(f"{name}: endpoint", link.dst, integer=True)
             if link.src not in self.out_links or link.dst not in self.out_links:
                 raise ValueError(f"{name}: endpoint outside 1..{self.n_nodes}")
             if link.src == link.dst:
@@ -57,7 +60,7 @@ class Topology:
         return [l.dst for l in self.out_links[node]]
 
     def is_connected(self) -> bool:
-        return self.n_nodes > 0 and len(self.hop_distances(1)) == self.n_nodes
+        return len(self.hop_distances(1)) == self.n_nodes
 
     def hop_distances(self, src: int) -> Dict[int, int]:
         dist = {src: 0}

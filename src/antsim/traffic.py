@@ -16,6 +16,16 @@ DEFAULT_MEAN_PACKET_BITS = 4096.0
 DEFAULT_PACKETS_PER_SESSION = 50
 
 
+def _check_node_list(key: str, ids) -> None:
+    """Reject ``ids`` unless it is a list of distinct integer node ids."""
+    if not isinstance(ids, (list, tuple)):
+        raise ValueError(f"{key}: {ids!r} must be a list of node ids")
+    for u in ids:
+        check_number(f"{key} node id", u, integer=True)
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"{key}: {ids!r} names a node twice")
+
+
 @dataclass
 class TrafficSpec:
     temporal: str = "P"  # P | F | TMPHS (TMPHS = P base + timed hot-spot overlay)
@@ -48,6 +58,19 @@ class TrafficSpec:
         check_number("hs_count", self.hs_count, 0, strict=False, integer=True)
         if self.temporal == "TMPHS" and None in (self.hot_spot_on_s, self.hot_spot_off_s):
             raise ValueError("TMPHS requires hot_spot_on_s and hot_spot_off_s")
+        if self.hot_spot_nodes is not None:
+            _check_node_list("hot_spot_nodes", self.hot_spot_nodes)
+        if self.fixed_pairs is not None:
+            if not isinstance(self.fixed_pairs, (list, tuple)):
+                raise ValueError(f"fixed_pairs: {self.fixed_pairs!r} must be a list of pairs")
+            for pair in self.fixed_pairs:
+                _check_node_list("fixed_pairs", pair)
+                if len(pair) != 2:
+                    raise ValueError(f"fixed_pairs: {pair!r} must be a pair of node ids")
+        # TrafficSource takes the hot spots from hot_spot_nodes when it is set
+        hot_spots = self.hs_count if self.hot_spot_nodes is None else len(self.hot_spot_nodes)
+        if self.temporal == "TMPHS" and hot_spots == 0:
+            raise ValueError("TMPHS requires a hot spot: hs_count > 0 or hot_spot_nodes")
 
     def check_topology(self, topo: Topology) -> None:
         """Reject settings that name nodes the topology does not have."""
@@ -58,8 +81,8 @@ class TrafficSpec:
             if u not in nodes:
                 raise ValueError(f"hot_spot_nodes: no node with id {u!r}")
         for pair in self.fixed_pairs or ():
-            if len(pair) != 2 or pair[0] == pair[1] or not nodes.issuperset(pair):
-                raise ValueError(f"fixed_pairs: {pair!r} must name two distinct nodes")
+            if not nodes.issuperset(pair):
+                raise ValueError(f"fixed_pairs: {pair!r} names a node the topology lacks")
 
 
 class TrafficSource:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pathlib
 import re
 
 import pytest
@@ -89,7 +90,7 @@ def test_fixed_constant_is_not_an_algorithm_param(algorithm, key):
         ("bf", "broadcast_interval_s"),
     ],
 )
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, True, "1"])
 def test_nonpositive_interval_is_a_config_error(algorithm, key, bad):
     with pytest.raises(ConfigError, match=f"algorithm_params.*{key}"):
         small_config(algorithm=algorithm, algorithm_params={key: bad})
@@ -286,6 +287,14 @@ SELF_LOOP_TOPOLOGY = {
     ],
 }
 RUN = ["run"]
+# a 2-node graph with one link whose fields the table below overrides
+ONE_LINK = {"a": 1, "b": 2, "bandwidth_bps": 1e6, "prop_delay_s": 0.001}
+
+
+def two_node_topology(**link):
+    return json.dumps({"nodes": 2, "links": [dict(ONE_LINK, **link)]})
+
+
 # one sampled hot spot from 1 s to 2 s after warm-up
 TMPHS_TRAFFIC = dict(
     SMALL_TRAFFIC, temporal="TMPHS", hs_count=1, hot_spot_on_s=1.0, hot_spot_off_s=2.0
@@ -358,6 +367,23 @@ TMPHS_TRAFFIC = dict(
             "traffic", {"traffic": dict(SMALL_TRAFFIC, packets_per_session=True)}, None, RUN,
             id="packets_per_session_bool",
         ),
+        pytest.param("traffic", {"traffic": dict(SMALL_TRAFFIC, hot_spot_nodes=[2, 2])}, None,
+                     RUN, id="hot_spot_nodes_repeated"),
+        pytest.param("traffic", {"traffic": dict(SMALL_TRAFFIC, hot_spot_nodes=[True])}, None,
+                     RUN, id="hot_spot_nodes_bool"),
+        pytest.param("traffic", {"traffic": dict(TMPHS_TRAFFIC, hs_count=0)}, None, RUN,
+                     id="tmphs_without_hot_spot"),
+        pytest.param(
+            "traffic", {"traffic": dict(SMALL_TRAFFIC, temporal="F", fixed_pairs=[[True, 2]])},
+            None, RUN, id="fixed_pair_bool",
+        ),
+        pytest.param("algorithm_params", {"algorithm_params": {"broadcast_interval_s": True}},
+                     None, RUN, id="broadcast_interval_s_bool"),
+        pytest.param("topology", {}, two_node_topology(a=True), RUN, id="link_endpoint_bool"),
+        pytest.param("topology", {}, two_node_topology(bandwidth_bps=True), RUN,
+                     id="link_bandwidth_bool"),
+        pytest.param("topology", {}, two_node_topology(prop_delay_s=True), RUN,
+                     id="link_delay_bool"),
     ],
 )
 def test_bad_experiment_exits_2_before_any_output(
@@ -418,6 +444,14 @@ def test_topology_is_resolved_once_per_experiment(tmp_path, monkeypatch):
         small_config(trials=3, run_length_s=2.0, warmup_s=1.0, out_dir=str(tmp_path))
     )
     assert calls == ["simplenet"]
+
+
+def test_readme_example_config_builds():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("A config is a flat JSON object", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = ExperimentConfig(**json.loads(example))
+    assert cfg.topo.n_nodes == 14 and cfg.traffic_spec.packets_per_session == 200
 
 
 def test_shipped_recipe_configs_load():

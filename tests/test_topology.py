@@ -80,13 +80,13 @@ def test_disconnected_graph_rejected():
 
 
 def test_nonpositive_bandwidth_rejected():
-    for bandwidth in (0.0, -1e6, math.nan, math.inf):
+    for bandwidth in (0.0, -1e6, math.nan, math.inf, True, "1"):
         with pytest.raises(ValueError, match=r"^link 1->2: bandwidth"):
             Topology(2, [Link(1, 2, bandwidth, 0.001), Link(2, 1, bandwidth, 0.001)])
 
 
 def test_negative_delay_rejected():
-    for delay in (-0.001, math.nan, math.inf):
+    for delay in (-0.001, math.nan, math.inf, True, "0"):
         with pytest.raises(ValueError, match=r"^link 1->2: delay"):
             Topology(2, [Link(1, 2, 1e6, delay), Link(2, 1, 1e6, delay)])
 
@@ -98,6 +98,10 @@ def test_negative_delay_rejected():
         pytest.param([(1, 2), (2, 3), (1, 2)], 3, r"^link 1->2: repeated", id="repeated_edge"),
         pytest.param([(1, 2), (2, 7)], 3, r"^link 2->7: endpoint outside 1\.\.3",
                      id="endpoint_out_of_range"),
+        pytest.param([(1, 2), (True, 3)], 3, r"^link True->3: endpoint", id="endpoint_bool"),
+        pytest.param([(1, 2), (2, 3.0)], 3, r"^link 2->3\.0: endpoint", id="endpoint_float"),
+        pytest.param([(1, 2), (2, 3)], 3.0, r"^nodes: ", id="node_count_float"),
+        pytest.param([(1, 2), (2, 3)], True, r"^nodes: ", id="node_count_bool"),
     ],
 )
 def test_malformed_link_rejected(edges, n_nodes, message):

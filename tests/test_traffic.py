@@ -55,6 +55,12 @@ def test_spec_validation():
         ("hot_spot_on_s", -1.0),
         ("hot_spot_on_s", math.nan),
         ("hot_spot_off_s", math.inf),
+        ("hot_spot_nodes", 5),
+        ("hot_spot_nodes", [2, 2]),
+        ("hot_spot_nodes", [True]),
+        ("fixed_pairs", 5),
+        ("fixed_pairs", [[True, 2]]),
+        ("fixed_pairs", [(1, 2), 3]),
     ):
         with pytest.raises(ValueError, match=key):
             TrafficSpec(**{key: bad})
