@@ -5,7 +5,7 @@ omniscient daemon bound."""
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from antsim.checks import check_number
 from antsim.network import Packet
@@ -18,6 +18,12 @@ DV_BYTES_PER_NODE = 12
 FEEDBACK_BYTES = 12
 FEEDBACK_BITS = FEEDBACK_BYTES * 8
 SAMPLE_PACKET_BITS = 4096.0  # 512-byte reference packet for static costs
+
+
+def _static_cost(link) -> float:
+    """Delay of the reference packet on ``link`` when idle: OSPF's advertised
+    cost and the per-hop time of QR's seed tables."""
+    return link.prop_delay_s + SAMPLE_PACKET_BITS / link.bandwidth_bps
 
 
 def _min_hop_next(topo) -> Dict[int, Dict[int, int]]:
@@ -59,15 +65,16 @@ class _PeriodicBroadcast(RoutingAlgorithm):
 
 
 class _LinkStateBase(_PeriodicBroadcast):
-    """Common flooding machinery for the link-state protocols."""
+    """Common flooding machinery for the link-state protocols.
+    ``lsdb[node][origin]`` holds the ``(seq, costs)`` of the newest
+    advertisement from ``origin``; ``tables[node]`` is ``None`` while stale,
+    which only a new origin or changed costs make it."""
 
     def attach(self, net) -> None:
         self.net = net
         topo = net.topo
-        self.lsdb_seen: Dict[int, Dict[int, int]] = {u: {} for u in topo.nodes}
-        self.lsdb: Dict[int, Dict[int, Dict[int, float]]] = {u: {} for u in topo.nodes}
-        self.tables: Dict[int, Dict[int, int]] = {u: {} for u in topo.nodes}
-        self.dirty: Dict[int, bool] = {u: False for u in topo.nodes}
+        self.lsdb: Dict[int, Dict[int, Tuple[int, Dict[int, float]]]] = {u: {} for u in topo.nodes}
+        self.tables: Dict[int, Optional[Dict[int, int]]] = {u: {} for u in topo.nodes}
         self.fallback = _min_hop_next(topo)
         self._schedule_broadcast()
 
@@ -76,7 +83,7 @@ class _LinkStateBase(_PeriodicBroadcast):
 
     def _broadcast(self, node: int) -> None:
         # a node installs its own LSA when it sends it, and echoes are stale
-        seq = self.lsdb_seen[node].get(node, 0) + 1
+        seq = self.lsdb[node].get(node, (0,))[0] + 1
         costs = self._link_costs(node)
         payload = ("lsa", node, seq, costs)
         size = (LSA_BASE_BYTES + LSA_BYTES_PER_NEIGHBOR * len(costs)) * 8
@@ -85,13 +92,14 @@ class _LinkStateBase(_PeriodicBroadcast):
             self.net.send_routing(node, link.dst, size, payload)
 
     def _install(self, node: int, origin: int, seq: int, costs: Dict[int, float]) -> None:
-        self.lsdb_seen[node][origin] = seq
-        self.lsdb[node][origin] = costs
-        self.dirty[node] = True
+        held = self.lsdb[node].get(origin)
+        self.lsdb[node][origin] = (seq, costs)
+        if held is None or held[1] != costs:
+            self.tables[node] = None
 
     def on_routing_packet(self, node: int, packet: Packet, from_node: int) -> None:
         tag, origin, seq, costs = packet.payload
-        if seq <= self.lsdb_seen[node].get(origin, 0):
+        if seq <= self.lsdb[node].get(origin, (0,))[0]:
             return  # stale or duplicate advertisement
         self._install(node, origin, seq, costs)
         for link in self.net.topo.out_links[node]:
@@ -100,14 +108,13 @@ class _LinkStateBase(_PeriodicBroadcast):
 
     def _recompute(self, node: int) -> None:
         adjacency = {
-            origin: list(costs.items()) for origin, costs in self.lsdb[node].items()
+            origin: list(costs.items()) for origin, (_, costs) in self.lsdb[node].items()
         }
         _, hop = dijkstra(self.net.topo.n_nodes, adjacency, node)
         self.tables[node] = {d: h for d, h in hop.items() if h is not None}
-        self.dirty[node] = False
 
     def select_next_hop(self, node: int, packet: Packet) -> int:
-        if self.dirty[node]:
+        if self.tables[node] is None:
             self._recompute(node)
         return self.tables[node].get(packet.dst) or self.fallback[node].get(packet.dst)
 
@@ -115,7 +122,7 @@ class _LinkStateBase(_PeriodicBroadcast):
 class OspfRouting(_LinkStateBase):
     """Static link-state routing: costs from physical link characteristics,
     tables computed once and never changed. Periodic advertisements are still
-    flooded, but receivers learn nothing new from them."""
+    flooded, but they re-advertise the same costs, so no table goes stale."""
 
     name = "ospf"
     elab_s = 0.006
@@ -128,17 +135,11 @@ class OspfRouting(_LinkStateBase):
         # every node knows the static map up front
         for u in net.topo.nodes:
             for v in net.topo.nodes:
-                self.lsdb[u][v] = self._link_costs(v)
+                self.lsdb[u][v] = (0, self._link_costs(v))
             self._recompute(u)
 
     def _link_costs(self, node: int) -> Dict[int, float]:
-        return {
-            l.dst: l.prop_delay_s + SAMPLE_PACKET_BITS / l.bandwidth_bps
-            for l in self.net.topo.out_links[node]
-        }
-
-    def select_next_hop(self, node: int, packet: Packet) -> int:
-        return self.tables[node][packet.dst]
+        return {l.dst: _static_cost(l) for l in self.net.topo.out_links[node]}
 
 
 class SpfRouting(_LinkStateBase):
@@ -226,8 +227,7 @@ class QRouting(RoutingAlgorithm):
                     continue
                 entry = {}
                 for link in topo.out_links[u]:
-                    t_hop = SAMPLE_PACKET_BITS / link.bandwidth_bps + link.prop_delay_s
-                    entry[link.dst] = t_hop * (1 + hops[link.dst][d])
+                    entry[link.dst] = _static_cost(link) * (1 + hops[link.dst][d])
                 self.q[u][d] = entry
         # prop[u][v]: propagation delay of link u -> v, read on every data hop
         self.prop: Dict[int, Dict[int, float]] = {
@@ -378,25 +378,16 @@ class DaemonRouting(RoutingAlgorithm):
         ]
         self.smoothed_queue: List[float] = [0.0] * len(self.ports)
         # lower[dst][v]: least total prop_delay_s from v to dst, indexed by
-        # node id like edges (lower[0] stays empty). One Dijkstra per dst over
-        # the reversed links; unlike routing.dijkstra it admits 0 s links.
-        into: List[List[Tuple[int, float]]] = [[] for _ in self.edges]
+        # node id like edges (lower[0] stays empty, lower[dst][0] is unused).
+        # One Dijkstra per dst over the reversed links, which may cost 0 s.
+        nodes = net.topo.nodes
+        into: Dict[int, List[Tuple[int, float]]] = {v: [] for v in nodes}
         for link in net.topo.links:
             into[link.dst].append((link.src, link.prop_delay_s))
         self.lower: List[List[float]] = [[]]
-        for dst in net.topo.nodes:
-            lower = [float("inf")] * len(into)
-            lower[dst] = 0.0
-            heap = [(0.0, dst)]
-            while heap:
-                d, v = heappop(heap)
-                if d > lower[v]:
-                    continue
-                for u, prop in into[v]:
-                    if d + prop < lower[u]:
-                        lower[u] = d + prop
-                        heappush(heap, (lower[u], u))
-            self.lower.append(lower)
+        for dst in nodes:
+            dist, _ = dijkstra(net.topo.n_nodes, into, dst)
+            self.lower.append([float("inf")] + [dist[v] for v in nodes])
 
     def link_cost(self, link, packet_bits: float) -> float:
         """Cost of one link, as ``select_next_hop`` prices it inline."""

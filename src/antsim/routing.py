@@ -52,7 +52,8 @@ def dijkstra(
     Returns (distance, first-hop neighbor) per destination. Ties between
     equal-cost paths resolve to the smallest first-hop neighbor id; the
     lexicographic (distance, first_hop) heap order makes that exact.
-    Unreachable destinations get distance +inf and first hop None.
+    Unreachable destinations get distance +inf and first hop None. A cost
+    may be 0; a negative or NaN cost is a ``ValueError``.
     """
     dist: Dict[int, float] = {src: 0.0}
     hop: Dict[int, Optional[int]] = {src: None}
@@ -66,8 +67,8 @@ def dijkstra(
         dist[u] = d
         hop[u] = first if u != src else None
         for v, cost in adjacency.get(u, ()):
-            if cost <= 0:
-                raise ValueError(f"nonpositive cost on link {u}->{v}")
+            if not cost >= 0:
+                raise ValueError(f"negative or NaN cost on link {u}->{v}")
             if v in settled:
                 continue
             heapq.heappush(heap, (d + cost, first if u != src else v, v))

@@ -92,7 +92,8 @@ def test_spf_broadcast_round_matches_flood_oracle(topo_name):
     expected = sum(flood_reach(topo, origin)[1] for origin in topo.nodes)
     assert metrics.generated_count["routing_info"] == expected
     every_origin = {origin: 1 for origin in topo.nodes}
-    assert all(net.algorithm.lsdb_seen[u] == every_origin for u in topo.nodes)
+    lsdb = net.algorithm.lsdb
+    assert all({o: seq for o, (seq, _) in lsdb[u].items()} == every_origin for u in topo.nodes)
 
 
 def test_spf_advertisement_size():
@@ -117,13 +118,39 @@ def test_spf_stale_advertisements_ignored():
     sim, net, _ = build(SpfRouting(broadcast_interval_s=1.0))
     sim.run_until(5.0)
     algo = net.algorithm
-    seq_before = dict(algo.lsdb_seen[2])
+    seq_before = {o: seq for o, (seq, _) in algo.lsdb[2].items()}
     stale = Packet(
         "routing_info", 512, 1, 2, sim.now, payload=("lsa", 1, 0, {2: 99.0})
     )
     algo.on_routing_packet(2, stale, 1)
-    assert algo.lsdb_seen[2] == seq_before
-    assert algo.lsdb[2][1].get(2) != 99.0
+    assert {o: seq for o, (seq, _) in algo.lsdb[2].items()} == seq_before
+    assert algo.lsdb[2][1][1].get(2) != 99.0
+
+
+def test_spf_recomputes_only_after_changed_costs(monkeypatch):
+    sim, net, _ = build(SpfRouting(broadcast_interval_s=1.0))
+    sim.run_until(5.0)
+    algo = net.algorithm
+    packet = Packet(DATA, 4096, 2, 6, sim.now)
+    algo.select_next_hop(2, packet)
+    table = algo.tables[2]
+    recomputed = []
+    recompute = SpfRouting._recompute
+    monkeypatch.setattr(
+        SpfRouting, "_recompute", lambda self, node: (recomputed.append(node), recompute(self, node))
+    )
+    seq, costs = algo.lsdb[2][1]
+    same = Packet("routing_info", 512, 1, 2, sim.now, payload=("lsa", 1, seq + 1, dict(costs)))
+    algo.on_routing_packet(2, same, 1)
+    assert algo.lsdb[2][1] == (seq + 1, costs)
+    algo.select_next_hop(2, packet)
+    assert algo.tables[2] is table and recomputed == []
+    changed = {**costs, 2: costs[2] + 1.0}
+    newer = Packet("routing_info", 512, 1, 2, sim.now, payload=("lsa", 1, seq + 2, changed))
+    algo.on_routing_packet(2, newer, 1)
+    assert algo.tables[2] is None
+    algo.select_next_hop(2, packet)
+    assert recomputed == [2] and algo.tables[2] is not table
 
 
 def test_bf_vector_size_and_convergence():

@@ -54,9 +54,25 @@ def test_dijkstra_unreachable_is_infinite():
     assert dist[4] == INFINITY and hop[4] is None
 
 
-def test_dijkstra_rejects_nonpositive_costs():
-    with pytest.raises(ValueError):
-        dijkstra(2, {1: [(2, 0.0)], 2: [(1, 1.0)]}, 1)
+@pytest.mark.parametrize("cost", [-1.0, -1e-300, math.nan])
+def test_dijkstra_rejects_negative_and_nan_costs(cost):
+    with pytest.raises(ValueError, match="negative or NaN cost on link 1->2"):
+        dijkstra(2, {1: [(2, cost)], 2: [(1, 1.0)]}, 1)
+
+
+def test_dijkstra_admits_zero_cost_links():
+    # 1-2 and 1-3 cost 0, so 4 and 5 are reached at equal cost through
+    # first hops 2 and 3; the tie goes to the smaller first hop
+    adjacency = {
+        1: [(3, 0.0), (2, 0.0), (4, 1.0)],
+        2: [(1, 0.0), (4, 0.5), (5, 0.0)],
+        3: [(1, 0.0), (4, 0.5), (5, 0.0)],
+        4: [(5, 0.0)],
+        5: [],
+    }
+    dist, hop = dijkstra(5, adjacency, 1)
+    assert dist == {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.5, 5: 0.0}
+    assert hop == {1: None, 2: 2, 3: 3, 4: 2, 5: 2}
 
 
 def test_dijkstra_weighted_first_hop():
