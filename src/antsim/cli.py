@@ -81,6 +81,9 @@ class ExperimentConfig:
         check_number("run_length_s", self.run_length_s, 0)
         # derived, not a field: every trial builds its network on this graph
         self.topo = resolve_topology(self.topology)
+        for key in self.traffic:
+            if key not in TrafficSpec.__dataclass_fields__:
+                raise ConfigError(f"traffic: {key}: unknown configuration key")
         try:
             self.traffic_spec = TrafficSpec(**self.traffic)
             self.traffic_spec.check_topology(self.topo)

@@ -48,18 +48,19 @@ class TrafficSpec:
         for key in ("hot_spot_on_s", "hot_spot_off_s"):
             if getattr(self, key) is not None:
                 check_number(key, getattr(self, key), 0, strict=False)
-        if self.temporal not in ("P", "F", "TMPHS"):
-            raise ValueError(f"unknown temporal model {self.temporal!r}")
-        if self.spatial not in ("U", "R"):
-            raise ValueError(f"unknown spatial model {self.spatial!r}")
-        if self.stream not in ("CBR", "GVBR"):
-            raise ValueError(f"unknown stream type {self.stream!r}")
+        models = {"temporal": ("P", "F", "TMPHS"), "spatial": ("U", "R"), "stream": ("CBR", "GVBR")}
+        for key, allowed in models.items():
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ValueError(f"{key}: unknown value {value!r}")
         check_number("packets_per_session", self.packets_per_session, 0, integer=True)
         check_number("hs_count", self.hs_count, 0, strict=False, integer=True)
         if self.temporal == "TMPHS" and None in (self.hot_spot_on_s, self.hot_spot_off_s):
             raise ValueError("TMPHS requires hot_spot_on_s and hot_spot_off_s")
         if self.hot_spot_nodes is not None:
             _check_node_list("hot_spot_nodes", self.hot_spot_nodes)
+            if not self.hot_spot_nodes:
+                raise ValueError("hot_spot_nodes: must name at least one node")
         if self.fixed_pairs is not None:
             if not isinstance(self.fixed_pairs, (list, tuple)):
                 raise ValueError(f"fixed_pairs: {self.fixed_pairs!r} must be a list of pairs")
@@ -67,9 +68,7 @@ class TrafficSpec:
                 _check_node_list("fixed_pairs", pair)
                 if len(pair) != 2:
                     raise ValueError(f"fixed_pairs: {pair!r} must be a pair of node ids")
-        # TrafficSource takes the hot spots from hot_spot_nodes when it is set
-        hot_spots = self.hs_count if self.hot_spot_nodes is None else len(self.hot_spot_nodes)
-        if self.temporal == "TMPHS" and hot_spots == 0:
+        if self.temporal == "TMPHS" and self.hs_count == 0 and self.hot_spot_nodes is None:
             raise ValueError("TMPHS requires a hot spot: hs_count > 0 or hot_spot_nodes")
 
     def check_topology(self, topo: Topology) -> None:

@@ -384,6 +384,27 @@ TMPHS_TRAFFIC = dict(
                      id="link_bandwidth_bool"),
         pytest.param("topology", {}, two_node_topology(prop_delay_s=True), RUN,
                      id="link_delay_bool"),
+        pytest.param("traffic: temporal", {"traffic": dict(SMALL_TRAFFIC, temporal="X")}, None,
+                     RUN, id="temporal_unknown"),
+        pytest.param("traffic: spatial", {"traffic": dict(SMALL_TRAFFIC, spatial="X")}, None,
+                     RUN, id="spatial_unknown"),
+        pytest.param("traffic: stream", {"traffic": dict(SMALL_TRAFFIC, stream="X")}, None,
+                     RUN, id="stream_unknown"),
+        pytest.param("traffic: foo", {"traffic": dict(SMALL_TRAFFIC, foo=1)}, None, RUN,
+                     id="traffic_key_unknown"),
+        pytest.param(
+            "traffic: hot_spot_nodes",
+            {"traffic": dict(SMALL_TRAFFIC, hs_count=1, hot_spot_nodes=[])}, None, RUN,
+            id="hot_spot_nodes_empty",
+        ),
+        pytest.param(
+            "traffic: hot_spot_nodes",
+            {"traffic": dict(SMALL_TRAFFIC, temporal="F", hs_count=1, hot_spot_nodes=[])}, None,
+            RUN, id="hot_spot_nodes_empty_fixed",
+        ),
+        pytest.param("traffic: hot_spot_nodes",
+                     {"traffic": dict(TMPHS_TRAFFIC, hot_spot_nodes=[])}, None, RUN,
+                     id="hot_spot_nodes_empty_tmphs"),
     ],
 )
 def test_bad_experiment_exits_2_before_any_output(

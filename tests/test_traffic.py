@@ -58,6 +58,7 @@ def test_spec_validation():
         ("hot_spot_nodes", 5),
         ("hot_spot_nodes", [2, 2]),
         ("hot_spot_nodes", [True]),
+        ("hot_spot_nodes", []),
         ("fixed_pairs", 5),
         ("fixed_pairs", [[True, 2]]),
         ("fixed_pairs", [(1, 2), 3]),
