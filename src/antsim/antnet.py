@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from functools import reduce
 from itertools import accumulate
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from antsim.checks import check_number
@@ -98,7 +100,7 @@ def reinforce_row(row: List[float], chosen_idx: int, r: float) -> None:
 def queue_heuristic(queue_bits: List[float]) -> List[float]:
     """Per-neighbor queue correction; entries sum to n-1 (uniform when idle)."""
     n = len(queue_bits)
-    total = sum(queue_bits)
+    total = reduce(add, queue_bits, 0.0)
     if total <= 0:
         return [(n - 1) / n] * n
     return [1.0 - q / total for q in queue_bits]

@@ -4,6 +4,8 @@ FIFO link queues over a shared buffer, packet lifecycle, sessions."""
 from __future__ import annotations
 
 from collections import deque
+from functools import reduce
+from operator import add
 from typing import Callable, Dict, Optional, Tuple
 
 from antsim.engine import Simulator
@@ -119,7 +121,7 @@ class Network:
         self.ports: Dict[Tuple[int, int], Port] = {
             (l.src, l.dst): Port(l) for l in topo.links
         }
-        self.total_bw_bps = sum(l.bandwidth_bps for l in topo.links)
+        self.total_bw_bps = reduce(add, (l.bandwidth_bps for l in topo.links), 0.0)
         self.algorithm: Optional[RoutingAlgorithm] = None
         self._local_data_hook = False  # call on_local_data per injected packet
         self._arrival_hook = False  # call on_data_arrival per data arrival

@@ -6,7 +6,9 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 from importlib import resources
+from operator import add
 from typing import Dict, List, Tuple
 
 from antsim.checks import check_number
@@ -127,6 +129,6 @@ def topology_stats(topo: Topology) -> Tuple[float, float, int]:
     for u in topo.nodes:
         d = topo.hop_distances(u)
         dists.extend(d[v] for v in topo.nodes if v != u)
-    mean = sum(dists) / len(dists)
-    var = sum((x - mean) ** 2 for x in dists) / len(dists)
+    mean = reduce(add, dists, 0.0) / len(dists)
+    var = reduce(add, ((x - mean) ** 2 for x in dists), 0.0) / len(dists)
     return mean, math.sqrt(var), topo.n_nodes
