@@ -66,9 +66,11 @@ class _PeriodicBroadcast(RoutingAlgorithm):
 
 class _LinkStateBase(_PeriodicBroadcast):
     """Common flooding machinery for the link-state protocols.
-    ``lsdb[node][origin]`` holds the ``(seq, costs)`` of the newest
-    advertisement from ``origin``; ``tables[node]`` is ``None`` while stale,
-    which only a new origin or changed costs make it."""
+
+    ``lsdb[node][origin]`` is the ``(seq, costs)`` of the newest advertisement
+    from ``origin``. Only a new origin or changed costs make ``tables[node]``
+    stale (``None``): ``routing.dijkstra`` gives the same table for the same
+    costs in any adjacency order."""
 
     def attach(self, net) -> None:
         self.net = net
