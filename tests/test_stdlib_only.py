@@ -30,7 +30,7 @@ def test_runtime_imports_only_stdlib_and_antsim():
 def test_runtime_never_calls_builtin_sum():
     # From CPython 3.12, builtin sum() over floats is compensated, so a total
     # it gives may differ from the left-to-right fold the outputs were
-    # recorded with; sums in src/ are written as reduce(add, xs, 0.0)
+    # recorded with; sums in src/ are written as explicit left folds from 0.0
     uses = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
