@@ -51,6 +51,13 @@ class _PeriodicBroadcast(RoutingAlgorithm):
         check_number("broadcast_interval_s", broadcast_interval_s, 0, finite=False)
         self.broadcast_interval_s = broadcast_interval_s
 
+    def attach(self, net) -> None:
+        """Keep ``net``, build the min-hop ``fallback`` tables and schedule the
+        first round; subclasses then build their own tables."""
+        self.net = net
+        self.fallback = _min_hop_next(net.topo)
+        self._schedule_broadcast()
+
     def _schedule_broadcast(self) -> None:
         t = self.net.sim.now + self.broadcast_interval_s
         self.net.sim.schedule(t, self._broadcast_round)
@@ -73,12 +80,10 @@ class _LinkStateBase(_PeriodicBroadcast):
     costs in any adjacency order."""
 
     def attach(self, net) -> None:
-        self.net = net
-        topo = net.topo
-        self.lsdb: Dict[int, Dict[int, Tuple[int, Dict[int, float]]]] = {u: {} for u in topo.nodes}
-        self.tables: Dict[int, Optional[Dict[int, int]]] = {u: {} for u in topo.nodes}
-        self.fallback = _min_hop_next(topo)
-        self._schedule_broadcast()
+        super().attach(net)
+        nodes = net.topo.nodes
+        self.lsdb: Dict[int, Dict[int, Tuple[int, Dict[int, float]]]] = {u: {} for u in nodes}
+        self.tables: Dict[int, Optional[Dict[int, int]]] = {u: {} for u in nodes}
 
     def _link_costs(self, node: int) -> Dict[int, float]:
         raise NotImplementedError
@@ -174,14 +179,12 @@ class BfRouting(_PeriodicBroadcast):
 
     def attach(self, net) -> None:
         _monitor_ports(net)
-        self.net = net
+        super().attach(net)
         topo = net.topo
         self.cost_tables: Dict[int, CostTable] = {
             u: CostTable(u, topo.n_nodes, topo.neighbors(u)) for u in topo.nodes
         }
-        self.fallback = _min_hop_next(topo)
         self.vector_bits = (DV_BASE_BYTES + DV_BYTES_PER_NODE * topo.n_nodes) * 8
-        self._schedule_broadcast()
 
     def _broadcast(self, node: int) -> None:
         table = self.cost_tables[node]
@@ -198,23 +201,33 @@ class BfRouting(_PeriodicBroadcast):
         self.cost_tables[node].merge(origin, vector)
 
     def select_next_hop(self, node: int, packet: Packet) -> int:
-        _, nxt = self.cost_tables[node].best(packet.dst)
-        if nxt is None:
-            return self.fallback[node][packet.dst]
-        return nxt
+        # node ids are >= 1, so `or` falls back exactly when best has no hop
+        return self.cost_tables[node].best(packet.dst)[1] or self.fallback[node][packet.dst]
 
 
 class QRouting(RoutingAlgorithm):
     """Online asynchronous distance-vector learner: per-hop feedback packets
-    carry the downstream time-to-go estimate; forwarding is a deterministic
-    arg min over the learned per-neighbor estimates, ranked by ``(value, id)``
-    so ties go to the smallest id. Feedback goes back for
-    every arriving data packet, even one the network then drops for TTL.
-    Each feedback moves its estimate by the fixed ``learning_rate``."""
+    carry the downstream time-to-go estimate. Feedback goes back for every
+    arriving data packet, even one the network then drops for TTL. Each
+    feedback moves its estimate by the fixed ``learning_rate``.
+
+    Each Q entry ``q[u][d][n]`` has a record ``stats[u][d][n] = [best, rate,
+    last]``: the entry's lowest value, its recovery rate (<= 0) and the time
+    of its last feedback. Forwarding picks the least predicted estimate
+    ``max(best, q + rate * (now - last))``, ranked by ``(predicted, id)``.
+    Improving feedback moves the rate by the fixed ``recovery_learning``
+    times the entry's slope, and other feedback scales it by the fixed
+    ``recovery_decay``, so it never becomes positive; the clamp to
+    ``rate <= 0`` changes only a rate set from outside. Q-routing keeps
+    ``recovery_learning`` at 0.0: every rate stays +0.0, ``best <= q``
+    holds since ``_apply_feedback`` lowers ``best`` with ``q``, and
+    forwarding is the plain arg min of the estimates."""
 
     name = "qr"
     elab_s = 0.003
     learning_rate = 0.5
+    recovery_learning = 0.0
+    recovery_decay = 0.95
 
     def attach(self, net) -> None:
         self.net = net
@@ -231,6 +244,10 @@ class QRouting(RoutingAlgorithm):
                 for link in topo.out_links[u]:
                     entry[link.dst] = _static_cost(link) * (1 + hops[link.dst][d])
                 self.q[u][d] = entry
+        self.stats: Dict[int, Dict[int, Dict[int, List[float]]]] = {
+            u: {d: {n: [q0, 0.0, 0.0] for n, q0 in entry.items()} for d, entry in per_dst.items()}
+            for u, per_dst in self.q.items()
+        }
         # prop[u][v]: propagation delay of link u -> v, read on every data hop
         self.prop: Dict[int, Dict[int, float]] = {
             u: {l.dst: l.prop_delay_s for l in topo.out_links[u]} for u in topo.nodes
@@ -239,10 +256,17 @@ class QRouting(RoutingAlgorithm):
     def select_next_hop(self, node: int, packet: Packet) -> int:
         # rows run in ascending neighbor order (attach builds them from the
         # sorted out_links), so the strict < keeps the smallest id on a tie
+        now = self.net.sim.now
+        dst = packet.dst
+        stats = self.stats[node][dst]
         nxt = None
-        for n, q in self.q[node][packet.dst].items():
-            if nxt is None or q < least:
-                nxt, least = n, q
+        for n, q in self.q[node][dst].items():
+            best, rate, last = stats[n]
+            predicted = q + rate * (now - last)
+            if predicted < best:
+                predicted = best
+            if nxt is None or predicted < least:
+                nxt, least = n, predicted
         return nxt
 
     def on_data_arrival(self, node: int, packet: Packet, from_node: int) -> None:
@@ -260,54 +284,7 @@ class QRouting(RoutingAlgorithm):
         self._apply_feedback(node, payload[1], from_node, payload[2])
 
     def _apply_feedback(self, node: int, dst: int, via: int, q_new: float) -> None:
-        entry = self.q[node][dst]
-        entry[via] += self.learning_rate * (q_new - entry[via])
-
-
-class PQRouting(QRouting):
-    """Predictive extension of the feedback learner. Each Q entry
-    ``q[u][d][n]`` has a record ``stats[u][d][n] = [best, rate, last]``: the
-    lowest value the entry has reached, its recovery rate (<= 0) and the time
-    of its last feedback. Forwarding picks the neighbor with the least
-    predicted estimate ``max(best, q + rate * (now - last))``, the current
-    value relaxed toward the best while the entry sits idle, ranked by
-    ``(predicted, id)`` so ties go to the smallest id. The rate learns from
-    improving feedback by the fixed ``recovery_learning`` and decays by the
-    fixed ``recovery_decay`` otherwise.
-
-    A rate the learner produces never becomes positive: it starts at 0.0,
-    improving feedback adds a negative amount and any other feedback scales
-    it by ``recovery_decay``. So the clamp to ``rate <= 0`` in
-    ``_apply_feedback`` changes only a rate set from outside."""
-
-    name = "pqr"
-    elab_s = 0.003
-    recovery_learning = 0.7
-    recovery_decay = 0.95
-
-    def attach(self, net) -> None:
-        super().attach(net)
-        self.stats: Dict[int, Dict[int, Dict[int, List[float]]]] = {
-            u: {d: {n: [q0, 0.0, 0.0] for n, q0 in entry.items()} for d, entry in per_dst.items()}
-            for u, per_dst in self.q.items()
-        }
-
-    def select_next_hop(self, node: int, packet: Packet) -> int:
-        now = self.net.sim.now
-        dst = packet.dst
-        stats = self.stats[node][dst]
-        nxt = None
-        for n, q in self.q[node][dst].items():
-            best, rate, last = stats[n]
-            predicted = q + rate * (now - last)
-            if predicted < best:
-                predicted = best
-            if nxt is None or predicted < least:
-                nxt, least = n, predicted
-        return nxt
-
-    def _apply_feedback(self, node: int, dst: int, via: int, q_new: float) -> None:
-        # qr's Q step, then the record; each `if` returns what min/max would,
+        # the Q step, then the record; each `if` returns what min/max would,
         # ties and -0.0 included
         entry = self.q[node][dst]
         old = entry[via]
@@ -331,6 +308,15 @@ class PQRouting(QRouting):
             rate = 0.0
         record[1] = rate
         record[2] = now
+
+
+class PQRouting(QRouting):
+    """Predictive Q-routing: the same learner with recovery learning on, so
+    an entry that sits idle after improving feedback relaxes toward its best
+    value and a stale route is probed again."""
+
+    name = "pqr"
+    recovery_learning = 0.7
 
 
 class DaemonRouting(RoutingAlgorithm):

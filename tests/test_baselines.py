@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from heapq import heappop, heappush
 
@@ -229,11 +230,64 @@ def test_qr_selection_matches_min_on_ties():
         entry = algo.q[node][dst]
         for n in entry:
             entry[n] = rng.choice(levels)
+            # feedback keeps best <= q; writing q directly must too
+            algo.stats[node][dst][n][0] = 0.0
         values = list(entry.values())
         ties += values.count(min(values)) > 1
         want = min(entry.items(), key=lambda kv: (kv[1], kv[0]))[0]
         assert algo.select_next_hop(node, Packet(DATA, 4096, node, dst, 0.0)) == want
     assert ties >= 50, ties
+
+
+def plain_argmin(row):
+    """Oracle: the neighbor with the least estimate, the smallest id on a tie."""
+    return min(row.items(), key=lambda kv: (kv[1], kv[0]))[0]
+
+
+# (traffic, run length in s, decisions the trial makes at least) on nsfnet
+QR_TRIALS = [(UP_TRAFFIC, 6.0, 10_000), (HOTSPOT_TRAFFIC, 6.0, 30_000)]
+
+
+@pytest.mark.parametrize("traffic,run_length_s,floor", QR_TRIALS, ids=["nsfnet-up", "nsfnet-hotspot"])
+def test_qr_decisions_are_plain_argmin_over_whole_trial(monkeypatch, traffic, run_length_s, floor):
+    learners, decisions = [], []
+    select_next_hop = QRouting.select_next_hop
+
+    def checked(algo, node, packet):
+        if not learners:
+            learners.append(algo)
+        expected = plain_argmin(algo.q[node][packet.dst])
+        hop = select_next_hop(algo, node, packet)
+        assert hop == expected, (algo.net.sim.now, node, packet.dst)
+        decisions.append(hop)
+        return hop
+
+    monkeypatch.setattr(QRouting, "select_next_hop", checked)
+    cfg = ExperimentConfig(
+        topology="nsfnet",
+        algorithm="qr",
+        traffic=dict(traffic),
+        warmup_s=1.0,
+        run_length_s=run_length_s,
+        trials=1,
+        master_seed=7,
+    )
+    run_trial(cfg, 0)
+    assert len(decisions) >= floor
+    # recovery learning off: every rate is still +0.0 and best never exceeds q
+    (algo,) = learners
+    for u, per_dst in algo.stats.items():
+        for d, per_via in per_dst.items():
+            for n, (best, rate, _) in per_via.items():
+                assert rate == 0.0 and math.copysign(1.0, rate) == 1.0, (u, d, n)
+                assert best <= algo.q[u][d][n], (u, d, n)
+
+
+def test_pqr_is_qr_with_recovery_learning_on():
+    # the interpreter adds dunders such as __module__; a method is no dunder
+    own = {key for key in vars(PQRouting) if not key.startswith("__")}
+    assert own == {"name", "recovery_learning"} and PQRouting.__doc__
+    assert PQRouting.recovery_learning > QRouting.recovery_learning == 0.0
 
 
 def test_pqr_with_zero_recovery_matches_qr_argmin():
