@@ -32,7 +32,7 @@ class Topology:
     links: List[Link] = field(default_factory=list)
 
     def __post_init__(self):
-        check_number("nodes", self.n_nodes, 0, integer=True)
+        check_number("nodes", self.n_nodes, 1, integer=True)
         self.nodes = list(range(1, self.n_nodes + 1))
         self.out_links: Dict[int, List[Link]] = {u: [] for u in self.nodes}
         self.link_map: Dict[Tuple[int, int], Link] = {}

@@ -237,7 +237,9 @@ def test_main_topo_stats(tmp_path, capsys):
     not_json.write_text("{not json")
     unreadable = tmp_path / "dir.json"
     unreadable.mkdir()  # exists, but open() fails
-    for topology in ("bogusnet", str(not_json), str(unreadable)):
+    one_node = tmp_path / "one.json"
+    one_node.write_text(json.dumps(ONE_NODE_TOPOLOGY))
+    for topology in ("bogusnet", str(not_json), str(unreadable), str(one_node)):
         assert main(["topo-stats", topology]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: topology: ") and captured.out == ""
@@ -286,6 +288,8 @@ SELF_LOOP_TOPOLOGY = {
         for a, b in ((1, 2), (2, 3), (3, 3))
     ],
 }
+# a lone node: no pair of nodes for a session, no hop to average
+ONE_NODE_TOPOLOGY = {"nodes": 1, "links": []}
 RUN = ["run"]
 # a 2-node graph with one link whose fields the table below overrides
 ONE_LINK = {"a": 1, "b": 2, "bandwidth_bps": 1e6, "prop_delay_s": 0.001}
@@ -324,6 +328,8 @@ TMPHS_TRAFFIC = dict(
                      id="topology_file_not_connected"),
         pytest.param("topology", {}, json.dumps(SELF_LOOP_TOPOLOGY), RUN,
                      id="topology_file_self_loop"),
+        pytest.param("topology", {}, json.dumps(ONE_NODE_TOPOLOGY), RUN,
+                     id="topology_file_one_node"),
         pytest.param(
             "traffic", {"traffic": dict(SMALL_TRAFFIC, hot_spot_nodes=[99])},
             None, ["sweep-load", "--msia", "2.0", "1.0"], id="sweep_load_hot_spot_nodes",

@@ -102,6 +102,7 @@ def test_negative_delay_rejected():
         pytest.param([(1, 2), (2, 3.0)], 3, r"^link 2->3\.0: endpoint", id="endpoint_float"),
         pytest.param([(1, 2), (2, 3)], 3.0, r"^nodes: ", id="node_count_float"),
         pytest.param([(1, 2), (2, 3)], True, r"^nodes: ", id="node_count_bool"),
+        pytest.param([], 1, r"^nodes: must be an integer > 1", id="node_count_one"),
     ],
 )
 def test_malformed_link_rejected(edges, n_nodes, message):
