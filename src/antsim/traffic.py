@@ -68,6 +68,8 @@ class TrafficSpec:
                 _check_node_list("fixed_pairs", pair)
                 if len(pair) != 2:
                     raise ValueError(f"fixed_pairs: {pair!r} must be a pair of node ids")
+            if self.temporal != "F":
+                raise ValueError(f"fixed_pairs: only temporal F reads it, not {self.temporal!r}")
         if self.temporal == "TMPHS" and self.hs_count == 0 and self.hot_spot_nodes is None:
             raise ValueError("TMPHS requires a hot spot: hs_count > 0 or hot_spot_nodes")
 

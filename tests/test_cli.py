@@ -411,6 +411,9 @@ TMPHS_TRAFFIC = dict(
         pytest.param("traffic: hot_spot_nodes",
                      {"traffic": dict(TMPHS_TRAFFIC, hot_spot_nodes=[])}, None, RUN,
                      id="hot_spot_nodes_empty_tmphs"),
+        pytest.param("traffic: fixed_pairs",
+                     {"traffic": dict(SMALL_TRAFFIC, fixed_pairs=[[1, 6]])}, None, RUN,
+                     id="fixed_pairs_under_P"),
     ],
 )
 def test_bad_experiment_exits_2_before_any_output(

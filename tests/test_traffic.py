@@ -77,9 +77,18 @@ def test_hot_spot_count_must_be_below_node_count():
 @pytest.mark.parametrize("pair", [(1, 99), (3, 3), (1, 2, 3), (0, 1)])
 def test_fixed_pairs_must_name_two_distinct_nodes(pair):
     simplenet = builtin_topology("simplenet")
-    TrafficSpec(fixed_pairs=[(1, 6)]).check_topology(simplenet)
+    TrafficSpec(temporal="F", fixed_pairs=[(1, 6)]).check_topology(simplenet)
     with pytest.raises(ValueError, match="fixed_pairs"):
-        TrafficSpec(fixed_pairs=[(1, 6), pair]).check_topology(simplenet)
+        TrafficSpec(temporal="F", fixed_pairs=[(1, 6), pair]).check_topology(simplenet)
+
+
+@pytest.mark.parametrize(
+    "temporal, extra",
+    [("P", {}), ("TMPHS", {"hs_count": 1, "hot_spot_on_s": 0.0, "hot_spot_off_s": 1.0})],
+)
+def test_fixed_pairs_only_under_fixed_temporal_model(temporal, extra):
+    with pytest.raises(ValueError, match=f"^fixed_pairs: only temporal F reads it, not '{temporal}'"):
+        TrafficSpec(temporal=temporal, fixed_pairs=[(1, 6)], **extra)
 
 
 def test_fixed_one_to_all_session_count():
