@@ -501,3 +501,14 @@ def test_shipped_recipe_configs_load():
         assert cfg.trials == 10
         assert cfg.warmup_s == 500.0
         assert cfg.run_length_s == 1000.0
+
+
+def test_benchmark_workload_configs_load():
+    # reads perfbench/workloads.json only: a tightened config rule that
+    # rejected a workload would fail every benchmark run
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json"
+    workloads = json.loads(path.read_text())["workloads"]
+    assert len(workloads) >= 4
+    for name, spec in workloads.items():
+        cfg = ExperimentConfig(**dict(spec["config"], master_seed=0, trials=1, label=name))
+        assert cfg.algorithm == spec["config"]["algorithm"], name
