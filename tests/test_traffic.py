@@ -62,6 +62,7 @@ def test_spec_validation():
         ("fixed_pairs", 5),
         ("fixed_pairs", [[True, 2]]),
         ("fixed_pairs", [(1, 2), 3]),
+        ("fixed_pairs", [(1, 6)]),  # well formed, but the default temporal P ignores it
     ):
         with pytest.raises(ValueError, match=key):
             TrafficSpec(**{key: bad})
@@ -80,15 +81,6 @@ def test_fixed_pairs_must_name_two_distinct_nodes(pair):
     TrafficSpec(temporal="F", fixed_pairs=[(1, 6)]).check_topology(simplenet)
     with pytest.raises(ValueError, match="fixed_pairs"):
         TrafficSpec(temporal="F", fixed_pairs=[(1, 6), pair]).check_topology(simplenet)
-
-
-@pytest.mark.parametrize(
-    "temporal, extra",
-    [("P", {}), ("TMPHS", {"hs_count": 1, "hot_spot_on_s": 0.0, "hot_spot_off_s": 1.0})],
-)
-def test_fixed_pairs_only_under_fixed_temporal_model(temporal, extra):
-    with pytest.raises(ValueError, match=f"^fixed_pairs: only temporal F reads it, not '{temporal}'"):
-        TrafficSpec(temporal=temporal, fixed_pairs=[(1, 6)], **extra)
 
 
 def test_fixed_one_to_all_session_count():
