@@ -219,6 +219,11 @@ def test_qr_selection_is_argmin():
     assert algo.select_next_hop(1, p) == 3
 
 
+def plain_argmin(row):
+    """Oracle: the neighbor with the least estimate, the smallest id on a tie."""
+    return min(row.items(), key=lambda kv: (kv[1], kv[0]))[0]
+
+
 def test_qr_selection_matches_min_on_ties():
     sim, net, _ = build(QRouting(), "nsfnet")
     algo = net.algorithm
@@ -234,14 +239,9 @@ def test_qr_selection_matches_min_on_ties():
             algo.stats[node][dst][n][0] = 0.0
         values = list(entry.values())
         ties += values.count(min(values)) > 1
-        want = min(entry.items(), key=lambda kv: (kv[1], kv[0]))[0]
+        want = plain_argmin(entry)
         assert algo.select_next_hop(node, Packet(DATA, 4096, node, dst, 0.0)) == want
     assert ties >= 50, ties
-
-
-def plain_argmin(row):
-    """Oracle: the neighbor with the least estimate, the smallest id on a tie."""
-    return min(row.items(), key=lambda kv: (kv[1], kv[0]))[0]
 
 
 # (traffic, run length in s, decisions the trial makes at least) on nsfnet
@@ -250,12 +250,11 @@ QR_TRIALS = [(UP_TRAFFIC, 6.0, 10_000), (HOTSPOT_TRAFFIC, 6.0, 30_000)]
 
 @pytest.mark.parametrize("traffic,run_length_s,floor", QR_TRIALS, ids=["nsfnet-up", "nsfnet-hotspot"])
 def test_qr_decisions_are_plain_argmin_over_whole_trial(monkeypatch, traffic, run_length_s, floor):
-    learners, decisions = [], []
+    learners, decisions = set(), []
     select_next_hop = QRouting.select_next_hop
 
     def checked(algo, node, packet):
-        if not learners:
-            learners.append(algo)
+        learners.add(algo)
         expected = plain_argmin(algo.q[node][packet.dst])
         hop = select_next_hop(algo, node, packet)
         assert hop == expected, (algo.net.sim.now, node, packet.dst)
