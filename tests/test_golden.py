@@ -58,10 +58,18 @@ UP_HS_TRAFFIC = {
 }
 # one persistent session per ordered node pair for the whole run
 FIXED_TRAFFIC = {"temporal": "F", "stream": "GVBR", "mpia_s": 0.02}
-# case name -> node buffer in bits, patched onto Network for that case only;
-# 2e5 bits overflow under the hot spot, so the lock covers buffer drops of
-# data (under every algorithm), ants and routing packets
-BUFFER_BITS = {"nsfnet-hotspot-buffer": 2e5}
+# one CBR session of about 27 Mb/s from node 1 to node 6 of simplenet, far
+# above what its links carry, so queues grow until packets expire
+OVERLOAD_TRAFFIC = {"temporal": "F", "stream": "CBR", "fixed_pairs": [[1, 6]], "mpia_s": 0.00015}
+# case name -> Network class attributes patched for that case only. A 2e5-bit
+# node buffer overflows under the hot spot, so the lock covers buffer drops of
+# data (under every algorithm), ants and routing packets. A 0.5 s TTL expires
+# data under every algorithm within the overload's 4 s run, where the 15 s
+# default would need a far longer one.
+NETWORK_PATCHES = {
+    "nsfnet-hotspot-buffer": {"buffer_bits": 2e5},
+    "simplenet-ttl": {"ttl_s": 0.5},
+}
 # case name -> (topology, traffic, run length in s, algorithms, algorithm
 # params); the name keys golden_digests.json
 CASES = {
@@ -74,6 +82,7 @@ CASES = {
     "nsfnet-hotspot-buffer": ("nsfnet", HOTSPOT_TRAFFIC, 6.0, sorted(ALGORITHMS), OSPF_PARAMS),
     "nsfnet-up-hs": ("nsfnet", UP_HS_TRAFFIC, 6.0, ["antnet", "spf"], {}),
     "simplenet-fixed": ("simplenet", FIXED_TRAFFIC, 6.0, ["antnet", "qr"], {}),
+    "simplenet-ttl": ("simplenet", OVERLOAD_TRAFFIC, 4.0, sorted(ALGORITHMS), {}),
 }
 
 
@@ -155,8 +164,9 @@ def golden_digests(case: str, algorithm: str, out_dir: str) -> dict:
         algorithm_params=dict(params.get(algorithm, {})),
         out_dir=out_dir,
     )
-    buffer_bits = BUFFER_BITS.get(case, Network.buffer_bits)
-    with recording_calls() as recorder, mock.patch.object(Network, "buffer_bits", buffer_bits):
+    patches = NETWORK_PATCHES.get(case)
+    patched = mock.patch.multiple(Network, **patches) if patches else contextlib.nullcontext()
+    with recording_calls() as recorder, patched:
         run_experiment(cfg)
     digests = {"calls": recorder.sha.hexdigest()}
     for name in FILES:
