@@ -37,17 +37,14 @@ class TrafficSpec:
     packets_per_session: int = DEFAULT_PACKETS_PER_SESSION
     hs_count: int = 0
     mpia_hs_s: float = 0.04
-    hot_spot_on_s: Optional[float] = None  # offsets from traffic start
+    hot_spot_on_s: Optional[float] = None  # TMPHS only: offsets from traffic start
     hot_spot_off_s: Optional[float] = None
     fixed_pairs: Optional[List[Tuple[int, int]]] = None  # overrides F one-to-all
-    hot_spot_nodes: Optional[List[int]] = None
+    hot_spot_nodes: Optional[List[int]] = None  # names the hs_count hot spots
 
     def __post_init__(self):
         for key in ("msia_s", "mpia_s", "mpia_hs_s", "mean_packet_bits"):
             check_number(key, getattr(self, key), 0)
-        for key in ("hot_spot_on_s", "hot_spot_off_s"):
-            if getattr(self, key) is not None:
-                check_number(key, getattr(self, key), 0, strict=False)
         models = {"temporal": ("P", "F", "TMPHS"), "spatial": ("U", "R"), "stream": ("CBR", "GVBR")}
         for key, allowed in models.items():
             value = getattr(self, key)
@@ -55,12 +52,22 @@ class TrafficSpec:
                 raise ValueError(f"{key}: unknown value {value!r}")
         check_number("packets_per_session", self.packets_per_session, 0, integer=True)
         check_number("hs_count", self.hs_count, 0, strict=False, integer=True)
+        for key in ("hot_spot_on_s", "hot_spot_off_s"):
+            if getattr(self, key) is not None:
+                if self.temporal != "TMPHS":
+                    raise ValueError(f"{key}: only temporal TMPHS reads it, not {self.temporal!r}")
+                check_number(key, getattr(self, key), 0, strict=False)
         if self.temporal == "TMPHS" and None in (self.hot_spot_on_s, self.hot_spot_off_s):
             raise ValueError("TMPHS requires hot_spot_on_s and hot_spot_off_s")
+        if self.temporal == "TMPHS" and self.hs_count == 0:
+            raise ValueError("TMPHS requires a hot spot: hs_count > 0")
         if self.hot_spot_nodes is not None:
             _check_node_list("hot_spot_nodes", self.hot_spot_nodes)
             if not self.hot_spot_nodes:
                 raise ValueError("hot_spot_nodes: must name at least one node")
+            if len(self.hot_spot_nodes) != self.hs_count:
+                raise ValueError(f"hot_spot_nodes: {self.hot_spot_nodes!r} must hold exactly "
+                                 f"hs_count = {self.hs_count} ids")
         if self.fixed_pairs is not None:
             if not isinstance(self.fixed_pairs, (list, tuple)):
                 raise ValueError(f"fixed_pairs: {self.fixed_pairs!r} must be a list of pairs")
@@ -70,8 +77,6 @@ class TrafficSpec:
                     raise ValueError(f"fixed_pairs: {pair!r} must be a pair of node ids")
             if self.temporal != "F":
                 raise ValueError(f"fixed_pairs: only temporal F reads it, not {self.temporal!r}")
-        if self.temporal == "TMPHS" and self.hs_count == 0 and self.hot_spot_nodes is None:
-            raise ValueError("TMPHS requires a hot spot: hs_count > 0 or hot_spot_nodes")
 
     def check_topology(self, topo: Topology) -> None:
         """Reject settings that name nodes the topology does not have."""
@@ -117,31 +122,25 @@ class TrafficSource:
     def start(self) -> None:
         sim = self.net.sim
         spec = self.spec
+        nodes = self.net.topo.nodes
         if spec.temporal == "F":
-            sim.schedule(self.t_start, self._start_fixed)
+            pairs = spec.fixed_pairs
+            if pairs is None:
+                pairs = [(s, d) for s in nodes for d in nodes if s != d]
+            sim.schedule(self.t_start, self._open_persistent, pairs, spec.mpia_s, self.t_end)
         else:  # P base, with or without the TMPHS overlay
-            for node in self.net.topo.nodes:
+            for node in nodes:
                 self._schedule_next_arrival(node)
-        # The hot-spot overlay runs from `on` to `off`, cut at t_end: under
-        # TMPHS the configured offsets from t_start, otherwise the whole span
-        # when hs_count > 0 (UP-HS), and no overlay when off <= on.
+        # Each of the hs_count hot spots sends to every other node from `on` to
+        # `off`, cut at t_end: the TMPHS offsets from t_start, otherwise the
+        # whole span (UP-HS); no overlay when off <= on.
         if spec.temporal == "TMPHS":
             on, off = self.t_start + spec.hot_spot_on_s, self.t_start + spec.hot_spot_off_s
         else:
-            on, off = self.t_start, (self.t_end if spec.hs_count > 0 else self.t_start)
-        if off > on:
-            sim.schedule(on, self._start_hot_spots, min(self.t_end, off))
-
-    # -- fixed sessions ------------------------------------------------------
-
-    def _start_fixed(self) -> None:
-        spec = self.spec
-        pairs = spec.fixed_pairs
-        if pairs is None:
-            nodes = self.net.topo.nodes
-            pairs = [(s, d) for s in nodes for d in nodes if s != d]
-        for src, dst in pairs:
-            self._open_session(src, dst, spec.mpia_s, math.inf, self.t_end)
+            on, off = self.t_start, self.t_end
+        if spec.hs_count > 0 and off > on:
+            pairs = [(hs, d) for hs in self.hot_spots for d in nodes if d != hs]
+            sim.schedule(on, self._open_persistent, pairs, spec.mpia_hs_s, min(self.t_end, off))
 
     # -- Poisson sessions ----------------------------------------------------
 
@@ -161,14 +160,6 @@ class TrafficSource:
         others = [v for v in self.net.topo.nodes if v != node]
         return node, self.endpoint_rng.choice(others)
 
-    # -- hot spots -----------------------------------------------------------
-
-    def _start_hot_spots(self, end_time: float) -> None:
-        for hs in self.hot_spots:
-            for dst in self.net.topo.nodes:
-                if dst != hs:
-                    self._open_session(hs, dst, self.spec.mpia_hs_s, math.inf, end_time)
-
     # -- session plumbing ----------------------------------------------------
 
     def _per_packet(self, rng, mean: float) -> Callable[[], float]:
@@ -178,6 +169,11 @@ class TrafficSource:
         if self.spec.stream == "CBR":
             return lambda: mean
         return partial(rng.expovariate, 1.0 / mean)
+
+    def _open_persistent(self, pairs, mpia_s: float, end_time: float) -> None:
+        """Open one session per ``(src, dst)`` pair that sends until ``end_time``."""
+        for src, dst in pairs:
+            self._open_session(src, dst, mpia_s, math.inf, end_time)
 
     def _open_session(
         self, src: int, dst: int, mpia_s: float, packets: float, end_time: float

@@ -331,7 +331,7 @@ TMPHS_TRAFFIC = dict(
         pytest.param("topology", {}, json.dumps(ONE_NODE_TOPOLOGY), RUN,
                      id="topology_file_one_node"),
         pytest.param(
-            "traffic", {"traffic": dict(SMALL_TRAFFIC, hot_spot_nodes=[99])},
+            "traffic", {"traffic": dict(SMALL_TRAFFIC, hs_count=1, hot_spot_nodes=[99])},
             None, ["sweep-load", "--msia", "2.0", "1.0"], id="sweep_load_hot_spot_nodes",
         ),
         pytest.param("algorithm", {"algorithm": ["spf"]}, None, RUN, id="algorithm_list"),
@@ -414,6 +414,12 @@ TMPHS_TRAFFIC = dict(
         pytest.param("traffic: fixed_pairs",
                      {"traffic": dict(SMALL_TRAFFIC, fixed_pairs=[[1, 6]])}, None, RUN,
                      id="fixed_pairs_under_P"),
+        pytest.param("traffic: hot_spot_nodes",
+                     {"traffic": dict(SMALL_TRAFFIC, hot_spot_nodes=[4])}, None, RUN,
+                     id="hot_spot_nodes_without_hs_count"),
+        pytest.param("traffic: hot_spot_on_s",
+                     {"traffic": dict(SMALL_TRAFFIC, hot_spot_on_s=1.0)}, None, RUN,
+                     id="hot_spot_on_s_under_P"),
     ],
 )
 def test_bad_experiment_exits_2_before_any_output(

@@ -52,9 +52,6 @@ def test_spec_validation():
         ("mpia_s", math.inf),
         ("mpia_hs_s", math.inf),
         ("mean_packet_bits", math.inf),
-        ("hot_spot_on_s", -1.0),
-        ("hot_spot_on_s", math.nan),
-        ("hot_spot_off_s", math.inf),
         ("hot_spot_nodes", 5),
         ("hot_spot_nodes", [2, 2]),
         ("hot_spot_nodes", [True]),
@@ -66,6 +63,24 @@ def test_spec_validation():
     ):
         with pytest.raises(ValueError, match=key):
             TrafficSpec(**{key: bad})
+    window = dict(temporal="TMPHS", hs_count=1, hot_spot_on_s=1.0, hot_spot_off_s=2.0)
+    for key, spec in (
+        # the offsets' number rule, under the one model that reads them
+        ("hot_spot_on_s", dict(window, hot_spot_on_s=-1.0)),
+        ("hot_spot_on_s", dict(window, hot_spot_on_s=math.nan)),
+        ("hot_spot_off_s", dict(window, hot_spot_off_s=math.inf)),
+        # hs_count alone says how many hot spots run; hot_spot_nodes only names them
+        ("hot_spot_nodes", dict(hot_spot_nodes=[4])),
+        ("hot_spot_nodes", dict(temporal="F", hot_spot_nodes=[4])),
+        ("hs_count", dict(window, hs_count=0, hot_spot_nodes=[4])),
+        ("hot_spot_nodes", dict(hs_count=1, hot_spot_nodes=[4, 5])),
+        # P and F read no offsets
+        ("hot_spot_on_s", dict(hot_spot_on_s=1.0)),
+        ("hot_spot_on_s", dict(temporal="F", hot_spot_on_s=1.0)),
+        ("hot_spot_off_s", dict(hot_spot_off_s=5.0)),
+    ):
+        with pytest.raises(ValueError, match=key):
+            TrafficSpec(**spec)
 
 
 def test_hot_spot_count_must_be_below_node_count():
@@ -256,13 +271,12 @@ def test_tmphs_window_past_t_end_sends_nothing_after_t_end():
     [
         dict(temporal="TMPHS", hot_spot_on_s=5.0, hot_spot_off_s=5.0),
         dict(temporal="TMPHS", hot_spot_on_s=5.0, hot_spot_off_s=3.0),
-        dict(temporal="P"),  # hs_count 0: named hot spots alone run no overlay
     ],
-    ids=["off_equals_on", "off_before_on", "hs_count_0"],
+    ids=["off_equals_on", "off_before_on"],
 )
 def test_empty_hot_spot_window_opens_no_session(overlay):
     sim, net = make_net(seed=2)
-    spec = TrafficSpec(msia_s=1e9, mpia_hs_s=0.5, hot_spot_nodes=[4], **overlay)
+    spec = TrafficSpec(msia_s=1e9, mpia_hs_s=0.5, hs_count=1, hot_spot_nodes=[4], **overlay)
     src = TrafficSource(net, spec, 0.0, 10.0)
     sessions = []
     src._open_session = lambda *args: sessions.append(args)
