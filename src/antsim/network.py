@@ -230,15 +230,18 @@ class Network:
         from_node = port.src
         packet.prev_node = from_node
         kind = packet.kind
+        if kind != ROUTING_INFO and now - packet.created_at > self.ttl_s:
+            # data and ants past their TTL are dropped before the algorithm sees
+            # them, so no feedback goes back for an expired data packet
+            self.metrics.on_dropped("ttl", kind)
+            return
         if kind == DATA:
             if self._arrival_hook:
                 # hook runs while node_arrival still refers to the previous node,
                 # so per-hop residence time is measurable (feedback-based routing)
                 self.algorithm.on_data_arrival(node, packet, from_node)
             packet.node_arrival = now
-            if now - packet.created_at > self.ttl_s:
-                self.metrics.on_dropped("ttl", DATA)
-            elif node == packet.dst:
+            if node == packet.dst:
                 self.metrics.on_delivered(now, DATA, packet.size, now - packet.created_at)
             else:
                 self.sim.schedule(now + self.node_service_s, self.dispatch, node, packet)
@@ -249,8 +252,6 @@ class Network:
             # the collector keeps the delay of data deliveries only
             self.metrics.on_delivered(now, ROUTING_INFO, packet.size, 0.0)
             self.sim.schedule(now + algo.elab_s, algo.on_routing_packet, node, packet, from_node)
-        elif now - packet.created_at > self.ttl_s:
-            self.metrics.on_dropped("ttl", kind)
         else:
             self.sim.schedule(now + algo.elab_s, algo.on_ant, node, packet, from_node)
 

@@ -224,6 +224,17 @@ def test_data_expiring_on_the_link_is_dropped_at_arrival():
     assert len(drops) == 1 and metrics.delivered_count["data"] == 0
 
 
+@pytest.mark.parametrize("name", ["qr", "pqr"])
+def test_data_expiring_on_the_link_sends_no_feedback(name):
+    # the packet passes ttl_s on its way into node 2, as in the test above:
+    # the learner sends node 1 no feedback for it
+    sim, net, metrics = line_net(3, algo=ALGORITHMS[name](), ttl_s=0.005)
+    net.inject_data(1, 3, 4096)
+    sim.run_until(1.0)
+    assert metrics.dropped_count == {"ttl/data": 1}
+    assert ROUTING_INFO not in metrics.generated_count
+
+
 def test_ant_expiring_on_the_link_is_dropped_at_arrival():
     class AntSink(Onward):
         def on_ant(self, node, packet, from_node):
