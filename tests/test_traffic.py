@@ -269,14 +269,17 @@ def test_tmphs_window_past_t_end_sends_nothing_after_t_end():
 @pytest.mark.parametrize(
     "overlay",
     [
-        dict(temporal="TMPHS", hot_spot_on_s=5.0, hot_spot_off_s=5.0),
-        dict(temporal="TMPHS", hot_spot_on_s=5.0, hot_spot_off_s=3.0),
+        dict(temporal="TMPHS", hs_count=1, hot_spot_nodes=[4],
+             hot_spot_on_s=5.0, hot_spot_off_s=5.0),
+        dict(temporal="TMPHS", hs_count=1, hot_spot_nodes=[4],
+             hot_spot_on_s=5.0, hot_spot_off_s=3.0),
+        dict(temporal="P", hs_count=0),  # hs_count 0: no overlay, whatever mpia_hs_s says
     ],
-    ids=["off_equals_on", "off_before_on"],
+    ids=["off_equals_on", "off_before_on", "hs_count_0"],
 )
 def test_empty_hot_spot_window_opens_no_session(overlay):
     sim, net = make_net(seed=2)
-    spec = TrafficSpec(msia_s=1e9, mpia_hs_s=0.5, hs_count=1, hot_spot_nodes=[4], **overlay)
+    spec = TrafficSpec(msia_s=1e9, mpia_hs_s=0.5, **overlay)
     src = TrafficSource(net, spec, 0.0, 10.0)
     sessions = []
     src._open_session = lambda *args: sessions.append(args)
