@@ -208,8 +208,8 @@ class BfRouting(_PeriodicBroadcast):
 class QRouting(RoutingAlgorithm):
     """Online asynchronous distance-vector learner: per-hop feedback packets
     carry the downstream time-to-go estimate. Feedback goes back for every
-    arriving data packet. Each feedback moves its estimate by the fixed
-    ``learning_rate``.
+    data packet that arrives within its TTL. Each feedback moves its
+    estimate by the fixed ``learning_rate``.
 
     Each Q entry ``q[u][d][n]`` has a record ``stats[u][d][n] = [best, rate,
     last]``: the entry's lowest value, its recovery rate (<= 0) and the time

@@ -54,6 +54,9 @@ class Port:
     measured delay (spf and bf): their ``attach`` gives each port a
     ``LinkCostEstimator``, which every data transmission then feeds. Under
     the other algorithms it stays ``None`` and nothing is recorded.
+
+    ``landing`` holds, in arrival order, the routing packets whose
+    transmission has ended and whose elaboration at ``dst`` has not.
     """
 
     __slots__ = (
@@ -67,6 +70,7 @@ class Port:
         "lo_bits",
         "all_bits",
         "monitor",
+        "landing",
     )
 
     def __init__(self, link: Link):
@@ -80,6 +84,7 @@ class Port:
         self.lo_bits = 0.0  # low-priority bits waiting (ant heuristic input)
         self.all_bits = 0.0  # all bits waiting (daemon queue reads)
         self.monitor: Optional[LinkCostEstimator] = None
+        self.landing: deque = deque()
 
 
 class Network:
@@ -93,20 +98,27 @@ class Network:
     would have, and schedules ``dispatch`` at the arrival time plus the
     service delay.
 
+    A routing packet's visit is one event too, ``_land``, at the end of its
+    elaboration: its arrival time plus ``elab_s``, the float sum the two
+    events gave. ``_land`` counts the delivery, with the arrival time, and
+    then calls ``on_routing_packet``. The packet waits in its port's
+    ``landing`` FIFO from the end of its transmission to its landing, so a
+    run that ends during an elaboration still counts the packet as
+    delivered if it has arrived: ``routing_arrivals_pending`` gives that
+    number, which ``cli.run_trial`` adds to the summary's ``delivered``
+    count. Only the collector's own count lags by those packets.
+
     Every other arrival is a ``_arrive`` event at the arrival time, and a
     second event after the service or elaboration delay, because something
     happens at arrival: a data delivery, a TTL drop (counted even when the
-    run ends before the delay is over), qr's and pqr's ``on_data_arrival``
-    feedback, or a routing packet counted as delivered. Folding routing
-    packets would move that count, and the order of the calls around it, to
-    the end of the elaboration delay, and would lose it when the run ends in
-    between. Ants are not folded either. A folded event takes its place
-    among equal-time events when its transmission ends, not when it
-    arrives. Ants are launched on a shared clock and have fixed sizes, so
-    two of them can arrive a rounding step apart and finish their
-    elaboration at the same time; folded, they would reach ``on_ant`` in the
-    order their transmissions ended, not the order they arrived, which
-    changes AntNet's draws.
+    run ends before the delay is over) or qr's and pqr's
+    ``on_data_arrival`` feedback. Ants are not folded either. A folded
+    event takes its place among equal-time events when its transmission
+    ends, not when it arrives. Ants are launched on a shared clock and have
+    fixed sizes, so two of them can arrive a rounding step apart and finish
+    their elaboration at the same time; folded, they would reach ``on_ant``
+    in the order their transmissions ended, not the order they arrived,
+    which changes AntNet's draws.
     """
 
     buffer_bits = 1e9  # shared buffer of each node
@@ -217,6 +229,11 @@ class Network:
             packet.prev_node = port.src
             packet.node_arrival = t_arr
             self.sim.schedule(t_arr + self.node_service_s, self.dispatch, port.dst, packet)
+        elif packet.kind == ROUTING_INFO:
+            packet.prev_node = port.src
+            packet.node_arrival = t_arr
+            port.landing.append(packet)
+            self.sim.schedule(t_arr + self.algorithm.elab_s, self._land, port, packet)
         else:
             self.sim.schedule(t_arr, self._arrive, port, packet)
         if port.hi or port.lo:
@@ -230,7 +247,7 @@ class Network:
         from_node = port.src
         packet.prev_node = from_node
         kind = packet.kind
-        if kind != ROUTING_INFO and now - packet.created_at > self.ttl_s:
+        if now - packet.created_at > self.ttl_s:
             # data and ants past their TTL are dropped before the algorithm sees
             # them, so no feedback goes back for an expired data packet
             self.metrics.on_dropped("ttl", kind)
@@ -248,12 +265,24 @@ class Network:
             return
         packet.node_arrival = now
         algo = self.algorithm
-        if kind == ROUTING_INFO:
-            # the collector keeps the delay of data deliveries only
-            self.metrics.on_delivered(now, ROUTING_INFO, packet.size, 0.0)
-            self.sim.schedule(now + algo.elab_s, algo.on_routing_packet, node, packet, from_node)
-        else:
-            self.sim.schedule(now + algo.elab_s, algo.on_ant, node, packet, from_node)
+        self.sim.schedule(now + algo.elab_s, algo.on_ant, node, packet, from_node)
+
+    def _land(self, port: Port, packet: Packet) -> None:
+        """A routing packet's arrival at ``port.dst`` and its elaboration there."""
+        port.landing.popleft()
+        # the collector keeps the delay of data deliveries only
+        self.metrics.on_delivered(packet.node_arrival, ROUTING_INFO, packet.size, 0.0)
+        self.algorithm.on_routing_packet(port.dst, packet, port.src)
+
+    def routing_arrivals_pending(self, t: float) -> int:
+        """Routing packets that have arrived by ``t`` but not yet landed."""
+        pending = 0
+        for port in self.ports.values():
+            for packet in port.landing:
+                if packet.node_arrival > t:
+                    break  # arrival times on a port only grow
+                pending += 1
+        return pending
 
     def dispatch(self, node: int, packet: Packet) -> None:
         """Route a data packet out of ``node`` after its service delay."""

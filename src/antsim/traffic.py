@@ -75,6 +75,8 @@ class TrafficSpec:
                 _check_node_list("fixed_pairs", pair)
                 if len(pair) != 2:
                     raise ValueError(f"fixed_pairs: {pair!r} must be a pair of node ids")
+            if not self.fixed_pairs:
+                raise ValueError("fixed_pairs: must name at least one pair")
             if self.temporal != "F":
                 raise ValueError(f"fixed_pairs: only temporal F reads it, not {self.temporal!r}")
 

@@ -85,6 +85,18 @@ def test_spf_flood_transmissions_per_round():
     assert delivered == 8 * 11
 
 
+def test_spf_round_runs_two_events_per_routing_transmission():
+    sim, net, metrics = build(SpfRouting(broadcast_interval_s=1.0))
+    transmissions = []
+    on_routing_tx = metrics.on_routing_tx
+    metrics.on_routing_tx = lambda t, bits: (transmissions.append(t), on_routing_tx(t, bits))
+    events = sim.run_until(1.5)  # exactly one broadcast round on an idle net
+    assert len(transmissions) == 8 * 11
+    # the round's own event, then per transmission its end and the packet's
+    # landing, which is its arrival and its elaboration in one event
+    assert events == 1 + 2 * len(transmissions)
+
+
 @pytest.mark.parametrize("topo_name", ["simplenet", "nsfnet", "nttnet"])
 def test_spf_broadcast_round_matches_flood_oracle(topo_name):
     sim, net, metrics = build(SpfRouting(broadcast_interval_s=10.0), topo_name)

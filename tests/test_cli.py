@@ -18,6 +18,7 @@ from antsim.cli import (
     sweep_ant_rate,
     sweep_load,
 )
+from antsim.network import ROUTING_INFO, Network
 
 SMALL_TRAFFIC = {
     "temporal": "P",
@@ -166,6 +167,42 @@ def test_workload_identical_across_algorithms():
         s, _ = run_trial(small_config(algorithm=algo, trials=1), 0)
         generated[algo] = s["generated"]["data"]
     assert len(set(generated.values())) == 1
+
+
+def record_routing_arrivals(monkeypatch):
+    """Arrival time of every routing packet, its transmission end plus the
+    link's propagation delay, recorded when the transmission ends."""
+    arrivals = []
+    tx_done = Network._tx_done
+
+    def recording(net, port, packet, tx_time):
+        if packet.kind == ROUTING_INFO:
+            arrivals.append(net.sim.now + port.prop_delay_s)
+        tx_done(net, port, packet, tx_time)
+
+    monkeypatch.setattr(Network, "_tx_done", recording)
+    return arrivals
+
+
+@pytest.mark.parametrize("algorithm", ["spf", "pqr"])
+def test_routing_deliveries_count_every_arrival_by_run_end(monkeypatch, algorithm):
+    arrivals = record_routing_arrivals(monkeypatch)
+    elab_s = cli.ALGORITHMS[algorithm].elab_s
+    cfg = small_config(algorithm=algorithm, warmup_s=1.0, run_length_s=1.0, trials=1)
+    run_trial(cfg, 0)
+    # a cut halfway into the elaboration of the first packet to arrive after 1.3 s
+    inside = next(t for t in arrivals if t > 1.3) + elab_s / 2
+    cuts_in_elaboration = 0
+    for cut in (1.2, 1.5, 1.75, inside, 2.0):
+        arrivals.clear()
+        cfg = small_config(algorithm=algorithm, warmup_s=1.0, run_length_s=cut - 1.0, trials=1)
+        t_end = cfg.warmup_s + cfg.run_length_s
+        summary, _ = run_trial(cfg, 0)
+        arrived = [t for t in arrivals if t <= t_end]
+        assert summary["delivered"].get(ROUTING_INFO, 0) == len(arrived)
+        # a packet lands at its arrival time plus elab_s, after the run here
+        cuts_in_elaboration += any(t_end < t + elab_s for t in arrived)
+    assert cuts_in_elaboration > 0
 
 
 def test_sweep_rate_requires_antnet(tmp_path):
@@ -414,6 +451,9 @@ TMPHS_TRAFFIC = dict(
         pytest.param("traffic: fixed_pairs",
                      {"traffic": dict(SMALL_TRAFFIC, fixed_pairs=[[1, 6]])}, None, RUN,
                      id="fixed_pairs_under_P"),
+        pytest.param("traffic: fixed_pairs",
+                     {"traffic": dict(SMALL_TRAFFIC, temporal="F", fixed_pairs=[])}, None, RUN,
+                     id="fixed_pairs_empty"),
         pytest.param("traffic: hot_spot_nodes",
                      {"traffic": dict(SMALL_TRAFFIC, hot_spot_nodes=[4])}, None, RUN,
                      id="hot_spot_nodes_without_hs_count"),

@@ -72,6 +72,8 @@ def test_spec_validation():
         # hs_count alone says how many hot spots run; hot_spot_nodes only names them
         ("hot_spot_nodes", dict(hot_spot_nodes=[4])),
         ("hot_spot_nodes", dict(temporal="F", hot_spot_nodes=[4])),
+        # F with no pair would open no session and carry no data
+        ("fixed_pairs", dict(temporal="F", fixed_pairs=[])),
         ("hs_count", dict(window, hs_count=0, hot_spot_nodes=[4])),
         ("hot_spot_nodes", dict(hs_count=1, hot_spot_nodes=[4, 5])),
         # P and F read no offsets
