@@ -99,14 +99,14 @@ class Network:
     service delay.
 
     A routing packet's visit is one event too, ``_land``, at the end of its
-    elaboration: its arrival time plus ``elab_s``, the float sum the two
-    events gave. ``_land`` counts the delivery, with the arrival time, and
-    then calls ``on_routing_packet``. The packet waits in its port's
-    ``landing`` FIFO from the end of its transmission to its landing, so a
-    run that ends during an elaboration still counts the packet as
-    delivered if it has arrived: ``routing_arrivals_pending`` gives that
+    elaboration, its arrival time plus ``elab_s``, since nothing observable
+    happens at its arrival. ``_land`` counts the delivery, with the arrival
+    time, and then calls ``on_routing_packet``. The packet waits in its
+    port's ``landing`` FIFO from the end of its transmission to its
+    landing. A run that ends during an elaboration still counts the packet
+    as delivered if it has arrived: ``routing_arrivals_pending`` gives that
     number, which ``cli.run_trial`` adds to the summary's ``delivered``
-    count. Only the collector's own count lags by those packets.
+    count; only the collector's own count leaves those packets out.
 
     Every other arrival is a ``_arrive`` event at the arrival time, and a
     second event after the service or elaboration delay, because something

@@ -200,7 +200,7 @@ def test_routing_deliveries_count_every_arrival_by_run_end(monkeypatch, algorith
         summary, _ = run_trial(cfg, 0)
         arrived = [t for t in arrivals if t <= t_end]
         assert summary["delivered"].get(ROUTING_INFO, 0) == len(arrived)
-        # a packet lands at its arrival time plus elab_s, after the run here
+        # a packet lands at its arrival time plus elab_s: one landed after this run
         cuts_in_elaboration += any(t_end < t + elab_s for t in arrived)
     assert cuts_in_elaboration > 0
 
