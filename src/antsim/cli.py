@@ -24,7 +24,7 @@ from antsim.baselines import (
 from antsim.checks import ConfigError, check_number
 from antsim.engine import Simulator
 from antsim.metrics import MetricsCollector, power
-from antsim.network import ROUTING_INFO, Network
+from antsim.network import Network
 from antsim.topology import builtin_topology, load_topology_file, topology_stats
 from antsim.traffic import TrafficSource, TrafficSpec
 
@@ -142,20 +142,14 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> Tuple[dict, List[dict]]:
     """One self-contained simulation: routing-only warmup, then measured run."""
     seed = cfg.master_seed + trial
     sim = Simulator(master_seed=seed)
-    metrics = MetricsCollector(t_start=cfg.warmup_s)
+    t_end = cfg.warmup_s + cfg.run_length_s
+    metrics = MetricsCollector(t_start=cfg.warmup_s, t_end=t_end)
     net = Network(sim, cfg.topo, metrics)
     algo = build_algorithm(cfg.algorithm, cfg.algorithm_params)
     net.set_algorithm(algo)
-    t_end = cfg.warmup_s + cfg.run_length_s
     TrafficSource(net, cfg.traffic_spec, cfg.warmup_s, t_end).start()
     sim.run_until(t_end)
     summary = metrics.summarize(t_end, net.total_bw_bps)
-    # a routing packet counts as delivered when it arrives, even if the run
-    # ends before its elaboration does
-    pending = net.routing_arrivals_pending(t_end)
-    if pending:
-        delivered = summary["delivered"]
-        delivered[ROUTING_INFO] = delivered.get(ROUTING_INFO, 0) + pending
     summary["trial"] = trial
     summary["seed"] = seed
     summary["algorithm"] = cfg.algorithm

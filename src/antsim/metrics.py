@@ -15,12 +15,20 @@ class MetricsCollector:
     Packet/bit counters (generated, delivered, dropped) cover the whole run
     so conservation can be checked; throughput, delay and overhead samples are
     recorded only from ``t_start`` (the end of warmup) onward.
+
+    A routing packet counts as delivered when it arrives by ``t_end``, the
+    run end, even if its elaboration is still pending then: the network
+    reports it when its transmission ends, with its arrival time, and a
+    delivery later than ``t_end`` is not counted. Data deliveries count
+    whenever they come, so a run continued past ``t_end`` can still balance
+    generated data against delivered and dropped data.
     """
 
     window_s = 5.0  # length of one windowed_series row
 
-    def __init__(self, t_start: float = 0.0):
+    def __init__(self, t_start: float = 0.0, t_end: float = math.inf):
         self.t_start = t_start
+        self.t_end = t_end
         self.generated_count: Dict[str, int] = defaultdict(int)
         self.delivered_count: Dict[str, int] = defaultdict(int)
         self.delivered_bits_total = 0.0
@@ -36,7 +44,8 @@ class MetricsCollector:
             self._windows[int((t - self.t_start) / self.window_s)][3] += bits
 
     def on_delivered(self, t: float, kind: str, bits: float, delay: float) -> None:
-        self.delivered_count[kind] += 1
+        if kind == "data" or t <= self.t_end:
+            self.delivered_count[kind] += 1
         if kind != "data" or t < self.t_start:
             return
         self.delivered_bits_total += bits

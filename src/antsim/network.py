@@ -54,9 +54,6 @@ class Port:
     measured delay (spf and bf): their ``attach`` gives each port a
     ``LinkCostEstimator``, which every data transmission then feeds. Under
     the other algorithms it stays ``None`` and nothing is recorded.
-
-    ``landing`` holds, in arrival order, the routing packets whose
-    transmission has ended and whose elaboration at ``dst`` has not.
     """
 
     __slots__ = (
@@ -70,7 +67,6 @@ class Port:
         "lo_bits",
         "all_bits",
         "monitor",
-        "landing",
     )
 
     def __init__(self, link: Link):
@@ -84,7 +80,6 @@ class Port:
         self.lo_bits = 0.0  # low-priority bits waiting (ant heuristic input)
         self.all_bits = 0.0  # all bits waiting (daemon queue reads)
         self.monitor: Optional[LinkCostEstimator] = None
-        self.landing: deque = deque()
 
 
 class Network:
@@ -98,15 +93,11 @@ class Network:
     would have, and schedules ``dispatch`` at the arrival time plus the
     service delay.
 
-    A routing packet's visit is one event too, ``_land``, at the end of its
-    elaboration, its arrival time plus ``elab_s``, since nothing observable
-    happens at its arrival. ``_land`` counts the delivery, with the arrival
-    time, and then calls ``on_routing_packet``. The packet waits in its
-    port's ``landing`` FIFO from the end of its transmission to its
-    landing. A run that ends during an elaboration still counts the packet
-    as delivered if it has arrived: ``routing_arrivals_pending`` gives that
-    number, which ``cli.run_trial`` adds to the summary's ``delivered``
-    count; only the collector's own count leaves those packets out.
+    A routing packet's visit is one event too, ``on_routing_packet`` at the
+    end of its elaboration, its arrival time plus ``elab_s``, since nothing
+    observable happens at its arrival. ``_tx_done`` reports the delivery to
+    the collector when the transmission ends, with the arrival time; which
+    of those deliveries a trial counts is ``MetricsCollector``'s rule.
 
     Every other arrival is a ``_arrive`` event at the arrival time, and a
     second event after the service or elaboration delay, because something
@@ -230,10 +221,12 @@ class Network:
             packet.node_arrival = t_arr
             self.sim.schedule(t_arr + self.node_service_s, self.dispatch, port.dst, packet)
         elif packet.kind == ROUTING_INFO:
-            packet.prev_node = port.src
-            packet.node_arrival = t_arr
-            port.landing.append(packet)
-            self.sim.schedule(t_arr + self.algorithm.elab_s, self._land, port, packet)
+            # the collector keeps the delay of data deliveries only
+            self.metrics.on_delivered(t_arr, ROUTING_INFO, packet.size, 0.0)
+            algo = self.algorithm
+            self.sim.schedule(
+                t_arr + algo.elab_s, algo.on_routing_packet, port.dst, packet, port.src
+            )
         else:
             self.sim.schedule(t_arr, self._arrive, port, packet)
         if port.hi or port.lo:
@@ -266,23 +259,6 @@ class Network:
         packet.node_arrival = now
         algo = self.algorithm
         self.sim.schedule(now + algo.elab_s, algo.on_ant, node, packet, from_node)
-
-    def _land(self, port: Port, packet: Packet) -> None:
-        """A routing packet's arrival at ``port.dst`` and its elaboration there."""
-        port.landing.popleft()
-        # the collector keeps the delay of data deliveries only
-        self.metrics.on_delivered(packet.node_arrival, ROUTING_INFO, packet.size, 0.0)
-        self.algorithm.on_routing_packet(port.dst, packet, port.src)
-
-    def routing_arrivals_pending(self, t: float) -> int:
-        """Routing packets that have arrived by ``t`` but not yet landed."""
-        pending = 0
-        for port in self.ports.values():
-            for packet in port.landing:
-                if packet.node_arrival > t:
-                    break  # arrival times on a port only grow
-                pending += 1
-        return pending
 
     def dispatch(self, node: int, packet: Packet) -> None:
         """Route a data packet out of ``node`` after its service delay."""

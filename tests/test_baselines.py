@@ -93,7 +93,7 @@ def test_spf_round_runs_two_events_per_routing_transmission():
     events = sim.run_until(1.5)  # exactly one broadcast round on an idle net
     assert len(transmissions) == 8 * 11
     # the round's own event, then per transmission its end and the packet's
-    # landing, which is its arrival and its elaboration in one event
+    # on_routing_packet at its arrival plus elab_s, with no arrival event
     assert events == 1 + 2 * len(transmissions)
 
 

@@ -40,6 +40,19 @@ def test_warmup_samples_excluded():
     assert m.delivered_count["data"] == 2
 
 
+def test_routing_deliveries_count_by_arrival_up_to_run_end():
+    m = MetricsCollector(t_start=1.0, t_end=2.0)
+    m.on_delivered(0.5, "routing_info", 800, 0.0)  # during warmup
+    m.on_delivered(2.0, "routing_info", 800, 0.0)  # arrives at the run end
+    m.on_delivered(math.nextafter(2.0, math.inf), "routing_info", 800, 0.0)
+    assert m.delivered_count["routing_info"] == 2
+    # data is counted after the run end too: a run continued past it (a
+    # drain) balances generated data against delivered and dropped data
+    m.on_delivered(3.0, "data", 4096, 2.5)
+    assert m.delivered_count["data"] == 1
+    assert m.summarize(2.0, 1e6)["delivered"] == {"routing_info": 2, "data": 1}
+
+
 def test_throughput_and_overhead():
     m = MetricsCollector(t_start=0.0)
     m.on_delivered(5.0, "data", 10_000, 0.1)
