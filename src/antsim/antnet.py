@@ -12,7 +12,7 @@ from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from antsim.checks import check_number
-from antsim.network import BACKWARD_ANT, FORWARD_ANT, Packet, Port
+from antsim.network import BACKWARD_ANT, FORWARD_ANT, Packet
 from antsim.routing import RoutingAlgorithm
 
 ANT_BASE_BYTES = 24
@@ -177,9 +177,6 @@ class AntNetRouting(RoutingAlgorithm):
         self.net = net
         topo = net.topo
         self.neighbors: Dict[int, List[int]] = {u: topo.neighbors(u) for u in topo.nodes}
-        self.nbr_ports: Dict[int, List[Port]] = {
-            u: [net.ports[(u, n)] for n in nbrs] for u, nbrs in self.neighbors.items()
-        }
         # Routing tables start uniform per destination.
         self.tables: Dict[int, Dict[int, List[float]]] = {}
         for u in topo.nodes:
@@ -266,7 +263,7 @@ class AntNetRouting(RoutingAlgorithm):
 
     def forward_probabilities(self, node: int, dst: int) -> List[float]:
         """Routing-table row blended with the instantaneous queue heuristic."""
-        queue_bits = [port.lo_bits for port in self.nbr_ports[node]]
+        queue_bits = [port.lo_bits for port in self.net.out_ports[node]]
         heuristic = queue_heuristic(queue_bits)
         return blend_probabilities(self.tables[node][dst], heuristic, HEURISTIC_WEIGHT)
 

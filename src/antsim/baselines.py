@@ -160,10 +160,7 @@ class SpfRouting(_LinkStateBase):
         super().attach(net)
 
     def _link_costs(self, node: int) -> Dict[int, float]:
-        return {
-            l.dst: float(self.net.ports[(node, l.dst)].monitor.close_window())
-            for l in self.net.topo.out_links[node]
-        }
+        return {p.dst: float(p.monitor.close_window()) for p in self.net.out_ports[node]}
 
 
 class BfRouting(_PeriodicBroadcast):
@@ -188,13 +185,12 @@ class BfRouting(_PeriodicBroadcast):
 
     def _broadcast(self, node: int) -> None:
         table = self.cost_tables[node]
-        for link in self.net.topo.out_links[node]:
-            table.set_link_cost(
-                link.dst, float(self.net.ports[(node, link.dst)].monitor.close_window())
-            )
+        ports = self.net.out_ports[node]
+        for port in ports:
+            table.set_link_cost(port.dst, float(port.monitor.close_window()))
         vector = table.distance_vector()
-        for link in self.net.topo.out_links[node]:
-            self.net.send_routing(node, link.dst, self.vector_bits, ("dv", node, vector))
+        for port in ports:
+            self.net.send_routing(node, port.dst, self.vector_bits, ("dv", node, vector))
 
     def on_routing_packet(self, node: int, packet: Packet, from_node: int) -> None:
         tag, origin, vector = packet.payload
@@ -211,9 +207,10 @@ class QRouting(RoutingAlgorithm):
     data packet that arrives within its TTL. Each feedback moves its
     estimate by the fixed ``learning_rate``.
 
-    Each Q entry ``q[u][d][n]`` has a record ``stats[u][d][n] = [best, rate,
-    last]``: the entry's lowest value, its recovery rate (<= 0) and the time
-    of its last feedback. Forwarding picks the least predicted estimate
+    Each Q entry ``q[u][d][n]`` is the record ``[q, best, rate, last]``: the
+    estimate of the time to ``d`` via neighbour ``n``, its lowest value, its
+    recovery rate (<= 0) and the time of its last feedback, seeded as ``[q0,
+    q0, 0.0, 0.0]``. Forwarding picks the least predicted estimate
     ``max(best, q + rate * (now - last))``, ranked by ``(predicted, id)``.
     Improving feedback moves the rate by the fixed ``recovery_learning``
     times the entry's slope, and other feedback scales it by the fixed
@@ -234,7 +231,7 @@ class QRouting(RoutingAlgorithm):
         topo = net.topo
         hops = {u: topo.hop_distances(u) for u in topo.nodes}
         # seed with hop-count x per-hop time so the initial arg min is sane
-        self.q: Dict[int, Dict[int, Dict[int, float]]] = {}
+        self.q: Dict[int, Dict[int, Dict[int, List[float]]]] = {}
         for u in topo.nodes:
             self.q[u] = {}
             for d in topo.nodes:
@@ -242,26 +239,16 @@ class QRouting(RoutingAlgorithm):
                     continue
                 entry = {}
                 for link in topo.out_links[u]:
-                    entry[link.dst] = _static_cost(link) * (1 + hops[link.dst][d])
+                    q0 = _static_cost(link) * (1 + hops[link.dst][d])
+                    entry[link.dst] = [q0, q0, 0.0, 0.0]
                 self.q[u][d] = entry
-        self.stats: Dict[int, Dict[int, Dict[int, List[float]]]] = {
-            u: {d: {n: [q0, 0.0, 0.0] for n, q0 in entry.items()} for d, entry in per_dst.items()}
-            for u, per_dst in self.q.items()
-        }
-        # prop[u][v]: propagation delay of link u -> v, read on every data hop
-        self.prop: Dict[int, Dict[int, float]] = {
-            u: {l.dst: l.prop_delay_s for l in topo.out_links[u]} for u in topo.nodes
-        }
 
     def select_next_hop(self, node: int, packet: Packet) -> int:
         # rows run in ascending neighbor order (attach builds them from the
         # sorted out_links), so the strict < keeps the smallest id on a tie
         now = self.net.sim.now
-        dst = packet.dst
-        stats = self.stats[node][dst]
         nxt = None
-        for n, q in self.q[node][dst].items():
-            best, rate, last = stats[n]
+        for n, (q, best, rate, last) in self.q[node][packet.dst].items():
             predicted = q + rate * (now - last)
             if predicted < best:
                 predicted = best
@@ -272,11 +259,12 @@ class QRouting(RoutingAlgorithm):
     def on_data_arrival(self, node: int, packet: Packet, from_node: int) -> None:
         """Send ``from_node`` this node's least time-to-go for the packet's
         destination (0 at the destination) plus the hop's queueing and
-        transmission time."""
+        transmission time. Records compare by their first differing item, so
+        the least record holds the least ``q``."""
         dst = packet.dst
-        to_go = 0.0 if node == dst else min(self.q[node][dst].values())
+        to_go = 0.0 if node == dst else min(self.q[node][dst].values())[0]
         net = self.net
-        hop_time = net.sim.now - packet.node_arrival - self.prop[from_node][node]
+        hop_time = net.sim.now - packet.node_arrival - net.ports[(from_node, node)].prop_delay_s
         net.send_routing(node, from_node, FEEDBACK_BITS, ("qfb", dst, to_go + hop_time))
 
     def on_routing_packet(self, node: int, packet: Packet, from_node: int) -> None:
@@ -284,21 +272,18 @@ class QRouting(RoutingAlgorithm):
         self._apply_feedback(node, payload[1], from_node, payload[2])
 
     def _apply_feedback(self, node: int, dst: int, via: int, q_new: float) -> None:
-        # the Q step, then the record; each `if` returns what min/max would,
-        # ties and -0.0 included
-        entry = self.q[node][dst]
-        old = entry[via]
+        # the Q step, then the rest of the record; each `if` returns what
+        # min/max would, ties and -0.0 included
+        record = self.q[node][dst][via]
+        old, best, rate, last = record
         q = old + self.learning_rate * (q_new - old)
-        entry[via] = q
-        record = self.stats[node][dst][via]
         now = self.net.sim.now
-        if q < record[0]:
-            record[0] = q
-        rate = record[1]
+        if q < best:
+            best = q
         delta = q - old
         if delta < 0:
             # learn how fast this link's estimate recovers when load drains
-            dt = now - record[2]
+            dt = now - last
             if dt < 1e-9:
                 dt = 1e-9
             rate += self.recovery_learning * (delta / dt)
@@ -306,8 +291,7 @@ class QRouting(RoutingAlgorithm):
             rate *= self.recovery_decay
         if rate > 0.0:
             rate = 0.0
-        record[1] = rate
-        record[2] = now
+        record[:] = q, best, rate, now
 
 
 class PQRouting(QRouting):
@@ -353,15 +337,12 @@ class DaemonRouting(RoutingAlgorithm):
     def attach(self, net) -> None:
         self.net = net
         self.ports = list(net.ports.values())
-        slot = {key: i for i, key in enumerate(net.ports)}
+        slot = {port: i for i, port in enumerate(self.ports)}
         # edges[u]: (dst, prop_delay_s, bandwidth_bps, port, index) per
         # out-link of u, by dst; index is the link's slot in ports and
         # smoothed_queue. Node ids are 1..n, so edges[0] stays empty.
         self.edges: List[Tuple] = [()] + [
-            tuple(
-                (l.dst, l.prop_delay_s, l.bandwidth_bps, net.ports[(u, l.dst)], slot[(u, l.dst)])
-                for l in net.topo.out_links[u]
-            )
+            tuple((p.dst, p.prop_delay_s, p.bandwidth_bps, p, slot[p]) for p in net.out_ports[u])
             for u in net.topo.nodes
         ]
         self.smoothed_queue: List[float] = [0.0] * len(self.ports)

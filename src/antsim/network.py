@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import deque
 from functools import reduce
 from operator import add
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from antsim.engine import Simulator
 from antsim.metrics import MetricsCollector
@@ -110,6 +110,11 @@ class Network:
     their elaboration at the same time; folded, they would reach ``on_ant``
     in the order their transmissions ended, not the order they arrived,
     which changes AntNet's draws.
+
+    ``ports[(u, v)]`` is the ``Port`` of link u -> v, and ``out_ports[u]``
+    holds u's ports in ascending neighbour-id order, the order of
+    ``topo.out_links[u]`` and ``topo.neighbors(u)``; the routers read link
+    facts from these ports.
     """
 
     buffer_bits = 1e9  # shared buffer of each node
@@ -123,6 +128,9 @@ class Network:
         self.buffer_used: Dict[int, float] = {u: 0.0 for u in topo.nodes}
         self.ports: Dict[Tuple[int, int], Port] = {
             (l.src, l.dst): Port(l) for l in topo.links
+        }
+        self.out_ports: Dict[int, List[Port]] = {
+            u: [self.ports[(u, l.dst)] for l in topo.out_links[u]] for u in topo.nodes
         }
         self.total_bw_bps = reduce(add, (l.bandwidth_bps for l in topo.links), 0.0)
         self.algorithm: Optional[RoutingAlgorithm] = None

@@ -199,19 +199,19 @@ def test_qr_seed_tables_are_hop_scaled():
     q = net.algorithm.q
     t_hop = 4096 / 10e6 + 0.001
     # from node 1 toward neighbor 2 for destination 2: one hop
-    assert abs(q[1][2][2] - t_hop) < 1e-12
+    assert abs(q[1][2][2][0] - t_hop) < 1e-12
     # via neighbor 2 toward destination 6: 2 + 1 hops at uniform link speed
-    assert abs(q[1][6][2] - 4 * t_hop) < 1e-12
+    assert abs(q[1][6][2][0] - 4 * t_hop) < 1e-12
 
 
 def test_qr_update_oracle():
     sim, net, _ = build(QRouting())
     algo = net.algorithm
-    algo.q[1][6][2] = 3.0
-    algo.q[2][6] = {4: 2.0}
+    algo.q[1][6][2][0] = 3.0
+    algo.q[2][6] = {4: [2.0, 2.0, 0.0, 0.0]}
     # feedback: q_new = min Q at node 2 (=2.0) + hop residence 0.5
     algo._apply_feedback(1, 6, 2, 2.0 + 0.5)
-    assert abs(algo.q[1][6][2] - 2.75) < 1e-12  # 3.0 + 0.5*(2.5-3.0)
+    assert abs(algo.q[1][6][2][0] - 2.75) < 1e-12  # 3.0 + 0.5*(2.5-3.0)
 
 
 def test_qr_feedback_packet_emitted_per_data_hop():
@@ -226,14 +226,15 @@ def test_qr_feedback_packet_emitted_per_data_hop():
 def test_qr_selection_is_argmin():
     sim, net, _ = build(QRouting())
     algo = net.algorithm
-    algo.q[1][6] = {2: 5.0, 3: 1.0, 8: 2.0}
+    for n, q in {2: 5.0, 3: 1.0, 8: 2.0}.items():
+        algo.q[1][6][n][0] = q
     p = Packet(DATA, 4096, 1, 6, 0.0)
     assert algo.select_next_hop(1, p) == 3
 
 
 def plain_argmin(row):
     """Oracle: the neighbor with the least estimate, the smallest id on a tie."""
-    return min(row.items(), key=lambda kv: (kv[1], kv[0]))[0]
+    return min(row.items(), key=lambda kv: (kv[1][0], kv[0]))[0]
 
 
 def test_qr_selection_matches_min_on_ties():
@@ -246,10 +247,10 @@ def test_qr_selection_matches_min_on_ties():
         node, dst = rng.sample(net.topo.nodes, 2)
         entry = algo.q[node][dst]
         for n in entry:
-            entry[n] = rng.choice(levels)
+            entry[n][0] = rng.choice(levels)
             # feedback keeps best <= q; writing q directly must too
-            algo.stats[node][dst][n][0] = 0.0
-        values = list(entry.values())
+            entry[n][1] = 0.0
+        values = [record[0] for record in entry.values()]
         ties += values.count(min(values)) > 1
         want = plain_argmin(entry)
         assert algo.select_next_hop(node, Packet(DATA, 4096, node, dst, 0.0)) == want
@@ -287,11 +288,11 @@ def test_qr_decisions_are_plain_argmin_over_whole_trial(monkeypatch, traffic, ru
     assert len(decisions) >= floor
     # recovery learning off: every rate is still +0.0 and best never exceeds q
     (algo,) = learners
-    for u, per_dst in algo.stats.items():
+    for u, per_dst in algo.q.items():
         for d, per_via in per_dst.items():
-            for n, (best, rate, _) in per_via.items():
+            for n, (q, best, rate, _) in per_via.items():
                 assert rate == 0.0 and math.copysign(1.0, rate) == 1.0, (u, d, n)
-                assert best <= algo.q[u][d][n], (u, d, n)
+                assert best <= q, (u, d, n)
 
 
 def test_pqr_is_qr_with_recovery_learning_on():
@@ -304,10 +305,10 @@ def test_pqr_is_qr_with_recovery_learning_on():
 def test_pqr_with_zero_recovery_matches_qr_argmin():
     sim, net, _ = build(PQRouting())
     algo = net.algorithm
-    algo.q[1][6] = {2: 5.0, 3: 1.0, 8: 2.0}
-    for n in (2, 3, 8):
-        algo.stats[1][6][n][0] = algo.q[1][6][n]  # best
-        algo.stats[1][6][n][1] = 0.0  # recovery rate
+    for n, q in {2: 5.0, 3: 1.0, 8: 2.0}.items():
+        algo.q[1][6][n][0] = q
+        algo.q[1][6][n][1] = q  # best
+        algo.q[1][6][n][2] = 0.0  # recovery rate
     p = Packet(DATA, 4096, 1, 6, 0.0)
     assert algo.select_next_hop(1, p) == 3
 
@@ -316,11 +317,10 @@ def test_pqr_recovery_lets_stale_entry_be_probed():
     sim, net, _ = build(PQRouting())
     algo = net.algorithm
     sim.run_until(1.0)
-    algo.q[1][6] = {2: 5.0, 3: 2.0, 8: 1.9}
-    for n in (2, 3, 8):
-        algo.stats[1][6][n] = [0.5, 0.0, sim.now]  # best, recovery rate, last update
+    for n, q in {2: 5.0, 3: 2.0, 8: 1.9}.items():
+        algo.q[1][6][n] = [q, 0.5, 0.0, sim.now]  # q, best, recovery rate, last update
     # neighbor 3 has a negative recovery rate: its prediction falls over time
-    algo.stats[1][6][3][1] = -0.01
+    algo.q[1][6][3][2] = -0.01
     sim.schedule(21.0, lambda: None)
     sim.run_until(21.0)
     p = Packet(DATA, 4096, 1, 6, sim.now)
@@ -329,23 +329,27 @@ def test_pqr_recovery_lets_stale_entry_be_probed():
 
 
 class PQRReference(QRouting):
-    """Oracle: pqr as first written, with its per-entry best value, recovery
-    rate and last-update time in three dicts keyed by ``(node, dst, via)``,
-    its own copy of the Q step, and the feedback formula that read the link
-    through ``topo.link`` and the time-to-go through ``min(values())``."""
+    """Oracle: pqr as first written, with float Q values in ``q``, its
+    per-entry best value, recovery rate and last-update time in three dicts
+    keyed by ``(node, dst, via)``, its own copy of the Q step, and the
+    feedback formula that read the link through ``topo.link`` and the
+    time-to-go through ``min(values())``."""
 
     recovery_learning = PQRouting.recovery_learning
     recovery_decay = PQRouting.recovery_decay
 
     def attach(self, net) -> None:
         super().attach(net)
+        records, self.q = self.q, {}
         self.best, self.recovery, self.last_update = {}, {}, {}
-        for u, per_dst in self.q.items():
+        for u, per_dst in records.items():
+            self.q[u] = {}
             for d, entry in per_dst.items():
-                for n, q0 in entry.items():
-                    self.best[(u, d, n)] = q0
-                    self.recovery[(u, d, n)] = 0.0
-                    self.last_update[(u, d, n)] = 0.0
+                self.q[u][d] = {n: record[0] for n, record in entry.items()}
+                for n, (_, best, rate, last) in entry.items():
+                    self.best[(u, d, n)] = best
+                    self.recovery[(u, d, n)] = rate
+                    self.last_update[(u, d, n)] = last
 
     def on_data_arrival(self, node, packet, from_node):
         link = self.net.topo.link_map[(from_node, node)]
@@ -389,10 +393,10 @@ def pqr_state(algo):
             for n, value in entry.items():
                 if isinstance(algo, PQRReference):
                     key = (u, d, n)
-                    record = (algo.best[key], algo.recovery[key], algo.last_update[key])
+                    record = (value, algo.best[key], algo.recovery[key], algo.last_update[key])
                 else:
-                    record = algo.stats[u][d][n]
-                state[(u, d, n)] = tuple(x.hex() for x in (value, *record))
+                    record = value
+                state[(u, d, n)] = tuple(x.hex() for x in record)
     return state
 
 
@@ -422,17 +426,16 @@ def test_pqr_matches_reference():
         via = rng.choice(topo.neighbors(node))
         if step % 10 == 0:
             # all-equal Q values: fresh entries (rate 0) predict exactly alike
-            level = max(new.q[node][dst].values())
-            for algo in algos:
-                for n in algo.q[node][dst]:
-                    algo.q[node][dst][n] = level
+            level = max(record[0] for record in new.q[node][dst].values())
+            for n in new.q[node][dst]:
+                new.q[node][dst][n][0] = ref.q[node][dst][n] = level
         if step % 7 == 3:
             # a positive rate exercises the clamp on whichever branch runs
             rate = rng.uniform(0.0, 1.0)
-            new.stats[node][dst][via][1] = ref.recovery[(node, dst, via)] = rate
+            new.q[node][dst][via][2] = ref.recovery[(node, dst, via)] = rate
         kind = rng.choice(("improve", "worsen", "equal"))
         factor = {"improve": rng.uniform(0.1, 1.0), "worsen": rng.uniform(1.0, 3.0), "equal": 1.0}
-        q_new = new.q[node][dst][via] * factor[kind]
+        q_new = new.q[node][dst][via][0] * factor[kind]
         steps[kind] += 1
         for algo in algos:
             algo._apply_feedback(node, dst, via, q_new)
@@ -463,8 +466,8 @@ def test_pqr_recovery_rate_stays_nonpositive():
         net.inject_data(1, 6, 4096)
     sim.run_until(10.0)
     rates = [
-        record[1]
-        for per_dst in algo.stats.values()
+        record[2]
+        for per_dst in algo.q.values()
         for per_via in per_dst.values()
         for record in per_via.values()
     ]
