@@ -11,7 +11,7 @@ from importlib import resources
 from operator import add
 from typing import Dict, List, Tuple
 
-from antsim.checks import check_number
+from antsim.checks import ConfigError, check_number
 
 BUILTIN_NAMES = ("simplenet", "nsfnet", "nttnet")
 
@@ -90,12 +90,29 @@ def from_edge_list(n_nodes: int, edges, bandwidth_bps, prop_delay_s) -> Topology
     return Topology(n_nodes, links)
 
 
+def _check_keys(prefix: str, value, keys) -> None:
+    """Raise a ``ConfigError`` that starts with ``prefix`` unless ``value`` is
+    a JSON object holding every key of ``keys``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{prefix}must be a JSON object, got {type(value).__name__}")
+    for key in keys:
+        if key not in value:
+            raise ConfigError(f"{prefix}{key}: missing key")
+
+
 def load_topology_dict(spec: dict) -> Topology:
-    n = spec["nodes"]
-    edges = [(e["a"], e["b"]) for e in spec["links"]]
-    bws = [e["bandwidth_bps"] for e in spec["links"]]
-    pds = [e["prop_delay_s"] for e in spec["links"]]
-    return from_edge_list(n, edges, bws, pds)
+    """The topology a JSON object describes; a structural fault is a
+    ``ConfigError`` that names the missing key or the link by its index."""
+    _check_keys("", spec, ("nodes", "links"))
+    links = spec["links"]
+    if not isinstance(links, list):
+        raise ConfigError(f"links: must be a JSON array, got {type(links).__name__}")
+    for i, e in enumerate(links):
+        _check_keys(f"links: item {i}: ", e, ("a", "b", "bandwidth_bps", "prop_delay_s"))
+    edges = [(e["a"], e["b"]) for e in links]
+    bws = [e["bandwidth_bps"] for e in links]
+    pds = [e["prop_delay_s"] for e in links]
+    return from_edge_list(spec["nodes"], edges, bws, pds)
 
 
 def load_topology_file(path: str) -> Topology:

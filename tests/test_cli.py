@@ -460,6 +460,18 @@ TMPHS_TRAFFIC = dict(
         pytest.param("traffic: hot_spot_on_s",
                      {"traffic": dict(SMALL_TRAFFIC, hot_spot_on_s=1.0)}, None, RUN,
                      id="hot_spot_on_s_under_P"),
+        pytest.param("topology", {}, json.dumps([ONE_LINK]), RUN, id="topology_file_list"),
+        pytest.param("topology: links", {}, json.dumps({"nodes": 2, "links": {"0": ONE_LINK}}),
+                     RUN, id="topology_links_object"),
+        pytest.param("topology: links: item 0", {}, json.dumps({"nodes": 2, "links": [[1, 2]]}),
+                     RUN, id="topology_link_list"),
+        pytest.param("topology: links", {}, json.dumps({"nodes": 2}), RUN,
+                     id="topology_links_missing"),
+        pytest.param(
+            "topology: links: item 0: prop_delay_s", {},
+            json.dumps({"nodes": 2, "links": [{"a": 1, "b": 2, "bandwidth_bps": 1e6}]}), RUN,
+            id="topology_link_without_prop_delay_s",
+        ),
     ],
 )
 def test_bad_experiment_exits_2_before_any_output(
