@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -15,7 +16,7 @@ from antsim.network import (
     Session,
 )
 from antsim.routing import LinkCostEstimator, RoutingAlgorithm
-from antsim.topology import builtin_topology, from_edge_list
+from antsim.topology import builtin_topology, from_edge_list, load_topology_file
 
 
 class FixedNextHop(RoutingAlgorithm):
@@ -181,6 +182,31 @@ def test_buffer_charged_until_last_bit_leaves():
     assert net.buffer_used[1] == 4096
     sim.run_until(0.0003 + 4096 / 1.5e6 + 1e-9)
     assert net.buffer_used[1] == 0
+
+
+# a 5-node graph whose links are listed from the largest endpoints down
+DESCENDING_TOPOLOGY = {
+    "nodes": 5,
+    "links": [
+        {"a": a, "b": b, "bandwidth_bps": 1e6, "prop_delay_s": 0.001}
+        for a, b in [(5, 4), (5, 2), (4, 3), (4, 1), (3, 2), (2, 1)]
+    ],
+}
+
+
+@pytest.mark.parametrize("name", ["simplenet", "nsfnet", "nttnet", "descending"])
+def test_out_ports_follow_neighbor_order(tmp_path, name):
+    if name == "descending":
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps(DESCENDING_TOPOLOGY))
+        topo = load_topology_file(str(path))
+    else:
+        topo = builtin_topology(name)
+    net = Network(Simulator(), topo, MetricsCollector())
+    assert sorted(net.out_ports) == topo.nodes
+    for u in topo.nodes:
+        assert [p.dst for p in net.out_ports[u]] == topo.neighbors(u), u
+        assert all(p.src == u for p in net.out_ports[u]), u
 
 
 def test_ttl_expiry_drops_stale_packet():
