@@ -259,9 +259,9 @@ class QRouting(RoutingAlgorithm):
     def on_data_arrival(self, node: int, packet: Packet, from_node: int) -> None:
         """Send ``from_node`` this node's least time-to-go for the packet's
         destination (0 at the destination) plus the hop's queueing and
-        transmission time. Records compare by their first differing item, so
-        the least record holds the least ``q``."""
+        transmission time."""
         dst = packet.dst
+        # lists compare by their first differing item: the least record has the least q
         to_go = 0.0 if node == dst else min(self.q[node][dst].values())[0]
         net = self.net
         hop_time = net.sim.now - packet.node_arrival - net.ports[(from_node, node)].prop_delay_s

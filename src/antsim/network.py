@@ -111,10 +111,8 @@ class Network:
     in the order their transmissions ended, not the order they arrived,
     which changes AntNet's draws.
 
-    ``ports[(u, v)]`` is the ``Port`` of link u -> v, and ``out_ports[u]``
-    holds u's ports in ascending neighbour-id order, the order of
-    ``topo.out_links[u]`` and ``topo.neighbors(u)``; the routers read link
-    facts from these ports.
+    ``out_ports[u]`` lists u's ports in ascending neighbour-id order, the
+    order of ``topo.out_links[u]`` and ``topo.neighbors(u)``.
     """
 
     buffer_bits = 1e9  # shared buffer of each node

@@ -91,8 +91,7 @@ def from_edge_list(n_nodes: int, edges, bandwidth_bps, prop_delay_s) -> Topology
 
 
 def _check_keys(prefix: str, value, keys) -> None:
-    """Raise a ``ConfigError`` that starts with ``prefix`` unless ``value`` is
-    a JSON object holding every key of ``keys``."""
+    """A ``ConfigError`` under ``prefix`` unless ``value`` is an object with ``keys``."""
     if not isinstance(value, dict):
         raise ConfigError(f"{prefix}must be a JSON object, got {type(value).__name__}")
     for key in keys:
@@ -101,8 +100,7 @@ def _check_keys(prefix: str, value, keys) -> None:
 
 
 def load_topology_dict(spec: dict) -> Topology:
-    """The topology a JSON object describes; a structural fault is a
-    ``ConfigError`` that names the missing key or the link by its index."""
+    """The topology ``spec`` describes; a fault names its key or link index."""
     _check_keys("", spec, ("nodes", "links"))
     links = spec["links"]
     if not isinstance(links, list):
