@@ -345,8 +345,9 @@ class PQRReference(QRouting):
         for u, per_dst in records.items():
             self.q[u] = {}
             for d, entry in per_dst.items():
-                self.q[u][d] = {n: record[0] for n, record in entry.items()}
-                for n, (_, best, rate, last) in entry.items():
+                self.q[u][d] = {}
+                for n, (q0, best, rate, last) in entry.items():
+                    self.q[u][d][n] = q0
                     self.best[(u, d, n)] = best
                     self.recovery[(u, d, n)] = rate
                     self.last_update[(u, d, n)] = last
