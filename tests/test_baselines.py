@@ -346,11 +346,12 @@ class PQRReference(QRouting):
             self.q[u] = {}
             for d, entry in per_dst.items():
                 self.q[u][d] = {}
-                for n, (q0, best, rate, last) in entry.items():
+                for n, record in entry.items():
+                    q0 = record[0]
                     self.q[u][d][n] = q0
-                    self.best[(u, d, n)] = best
-                    self.recovery[(u, d, n)] = rate
-                    self.last_update[(u, d, n)] = last
+                    self.best[(u, d, n)] = q0
+                    self.recovery[(u, d, n)] = 0.0
+                    self.last_update[(u, d, n)] = 0.0
 
     def on_data_arrival(self, node, packet, from_node):
         link = self.net.topo.link_map[(from_node, node)]

@@ -467,6 +467,13 @@ TMPHS_TRAFFIC = dict(
                      RUN, id="topology_link_list"),
         pytest.param("topology: links", {}, json.dumps({"nodes": 2}), RUN,
                      id="topology_links_missing"),
+        pytest.param("topology: nodes", {}, json.dumps({"links": [ONE_LINK]}), RUN,
+                     id="topology_nodes_missing"),
+        pytest.param(
+            "topology: links: item 0: b", {},
+            json.dumps({"nodes": 2, "links": [{k: v for k, v in ONE_LINK.items() if k != "b"}]}),
+            RUN, id="topology_link_without_b",
+        ),
         pytest.param(
             "topology: links: item 0: prop_delay_s", {},
             json.dumps({"nodes": 2, "links": [{"a": 1, "b": 2, "bandwidth_bps": 1e6}]}), RUN,

@@ -3,13 +3,11 @@ import math
 
 import pytest
 
-from antsim.checks import ConfigError
 from antsim.topology import (
     Link,
     Topology,
     builtin_topology,
     from_edge_list,
-    load_topology_dict,
     load_topology_file,
     topology_stats,
 )
@@ -133,7 +131,7 @@ def test_file_loader_roundtrip(tmp_path):
         "nodes": 3,
         "links": [
             {"a": 1, "b": 2, "bandwidth_bps": 2e6, "prop_delay_s": 0.002},
-            {"a": 2, "b": 3, "bandwidth_bps": 3e6, "prop_delay_s": 0.003},
+            {"a": 2, "b": 3, "bandwidth_bps": 3e6, "prop_delay_s": 0.003, "note": "unread"},
         ],
     }
     path = tmp_path / "tri.json"
@@ -142,38 +140,6 @@ def test_file_loader_roundtrip(tmp_path):
     assert topo.n_nodes == 3
     assert topo.link_map[(1, 2)].bandwidth_bps == 2e6
     assert topo.link_map[(3, 2)].prop_delay_s == 0.003
-
-
-LINK = {"a": 1, "b": 2, "bandwidth_bps": 1e6, "prop_delay_s": 0.001}
-
-
-@pytest.mark.parametrize(
-    "spec, message",
-    [
-        pytest.param([LINK], "must be a JSON object, got list", id="list"),
-        pytest.param({"nodes": 2, "links": {"0": LINK}}, "links: must be a JSON array, got dict",
-                     id="links_object"),
-        pytest.param({"nodes": 2, "links": [LINK, [1, 2]]},
-                     "links: item 1: must be a JSON object, got list", id="link_list"),
-        pytest.param({"nodes": 2}, "links: missing key", id="no_links"),
-        pytest.param({"links": [LINK]}, "nodes: missing key", id="no_nodes"),
-        pytest.param({"nodes": 2, "links": [{k: v for k, v in LINK.items() if k != "b"}]},
-                     "links: item 0: b: missing key", id="link_without_b"),
-        pytest.param(
-            {"nodes": 2, "links": [{k: v for k, v in LINK.items() if k != "prop_delay_s"}]},
-            "links: item 0: prop_delay_s: missing key", id="link_without_prop_delay_s",
-        ),
-    ],
-)
-def test_structural_errors_name_the_key(spec, message):
-    with pytest.raises(ConfigError) as info:
-        load_topology_dict(spec)
-    assert str(info.value) == message
-
-
-def test_unknown_keys_still_load():
-    topo = load_topology_dict({"_comment": "x", "nodes": 2, "links": [dict(LINK, note="y")]})
-    assert topo.neighbors(1) == [2]
 
 
 def test_per_edge_attribute_lists():
