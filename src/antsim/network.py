@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import reduce
+from math import exp
 from operator import add
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -54,6 +55,14 @@ class Port:
     measured delay (spf and bf): their ``attach`` gives each port a
     ``LinkCostEstimator``, which every data transmission then feeds. Under
     the other algorithms it stays ``None`` and nothing is recorded.
+
+    ``mean_bits`` is a time-weighted exponential mean of ``all_bits`` up to
+    the time ``mean_at``, with time constant ``mean_tau_s``. Only the daemon
+    asks for it: its ``attach`` sets ``mean_tau_s``, and from then on the
+    network calls ``advance_mean`` just before each change to ``all_bits``.
+    As ``all_bits`` has held since ``mean_at``, ``read_mean`` gives the mean
+    at any later time without writing it. Under the other algorithms
+    ``mean_tau_s`` stays ``None`` and nothing advances.
     """
 
     __slots__ = (
@@ -67,6 +76,9 @@ class Port:
         "lo_bits",
         "all_bits",
         "monitor",
+        "mean_tau_s",
+        "mean_bits",
+        "mean_at",
     )
 
     def __init__(self, link: Link):
@@ -78,8 +90,24 @@ class Port:
         self.lo: deque = deque()
         self.busy = False
         self.lo_bits = 0.0  # low-priority bits waiting (ant heuristic input)
-        self.all_bits = 0.0  # all bits waiting (daemon queue reads)
+        self.all_bits = 0.0  # all bits waiting (daemon queue reads and mean)
         self.monitor: Optional[LinkCostEstimator] = None
+        self.mean_tau_s: Optional[float] = None
+        self.mean_bits = 0.0
+        self.mean_at = 0.0
+
+    def advance_mean(self, now: float) -> None:
+        """Advance ``mean_bits`` to ``now`` over the ``all_bits`` held since
+        ``mean_at``."""
+        self.mean_bits += (1.0 - exp(-(now - self.mean_at) / self.mean_tau_s)) * (
+            self.all_bits - self.mean_bits
+        )
+        self.mean_at = now
+
+    def read_mean(self, now: float) -> float:
+        """The mean at ``now``, not before ``mean_at``; writes nothing."""
+        q = self.all_bits
+        return q + (self.mean_bits - q) * exp(-(now - self.mean_at) / self.mean_tau_s)
 
 
 class Network:
@@ -179,6 +207,8 @@ class Network:
         else:
             port.lo.append(packet)
             port.lo_bits += size
+        if port.mean_tau_s is not None:
+            port.advance_mean(now)
         port.all_bits += size
         if not port.busy:
             self._start_tx(port, now)
@@ -194,6 +224,8 @@ class Network:
                 port.lo_bits -= size
             else:
                 return
+            if port.mean_tau_s is not None:
+                port.advance_mean(now)
             port.all_bits -= size
             if now - packet.created_at > self.ttl_s:
                 # expired while queued: discard instead of wasting the link

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from heapq import heappop, heappush
 
 import networkx as nx
@@ -17,11 +18,11 @@ from antsim.baselines import (
 from antsim.cli import ExperimentConfig, run_trial
 from antsim.engine import Simulator
 from antsim.metrics import MetricsCollector
-from antsim.network import DATA, Network, Packet
+from antsim.network import DATA, Network, Packet, Port
 from antsim.routing import dijkstra
 from antsim.topology import builtin_topology, from_edge_list, load_topology_file
 
-from test_golden import HOTSPOT_TRAFFIC, UP_TRAFFIC
+from test_golden import HOTSPOT_TRAFFIC, OVERLOAD_TRAFFIC, UP_TRAFFIC
 from test_routing_core import flood_reach
 
 
@@ -479,12 +480,17 @@ def test_pqr_recovery_rate_stays_nonpositive():
 # -- omniscient bound --------------------------------------------------------
 
 
+def mean_state(net):
+    """Every port's queue-mean state ``(mean_bits, mean_at)``, as float hex."""
+    return [(port.mean_bits.hex(), port.mean_at.hex()) for port in net.ports.values()]
+
+
 def daemon_reference(algo, node, packet):
     """Oracle for one daemon next-hop decision, computed the long way: the
-    ``link_cost`` of every link into a full adjacency, ``routing.dijkstra``
-    from ``node``, then one smoothing step of every port's queue. Returns
-    the first hop and the smoothed queues the decision should leave,
-    without changing ``algo``."""
+    ``link_cost`` of every link into a full adjacency, then ``routing.dijkstra``
+    from ``node``. Returns the first hop and the queue-mean state the decision
+    should leave, which is the state before it, as a decision only reads the
+    means; ``algo`` is not changed."""
     net = algo.net
     topo = net.topo
     adjacency = {
@@ -492,12 +498,21 @@ def daemon_reference(algo, node, packet):
         for u in topo.nodes
     }
     _, hop = dijkstra(topo.n_nodes, adjacency, node)
-    decay = algo.queue_mean_decay
-    smoothed = [
-        decay * s_bar + (1.0 - decay) * port.all_bits
-        for s_bar, port in zip(algo.smoothed_queue, net.ports.values())
-    ]
-    return hop[packet.dst], smoothed
+    return hop[packet.dst], mean_state(net)
+
+
+def randomize_means(net, rng, idle):
+    """Give every port a random queue, mean and time of its last change
+    (``idle``: all zero, so equal-cost paths tie). Some ports changed at
+    ``now``, and some so long ago that their mean has decayed to the queue."""
+    now = net.sim.now
+    for port in net.ports.values():
+        if idle:
+            port.all_bits = port.mean_bits = 0.0
+            continue
+        port.all_bits = 0.0 if rng.random() < 0.3 else rng.choice((4096.0, rng.uniform(0.0, 2e5)))
+        port.mean_bits = rng.uniform(0.0, 1e5)
+        port.mean_at = rng.choice((now, now - 1e3, now - rng.uniform(0.0, 5 * port.mean_tau_s)))
 
 
 def test_daemon_cost_oracle():
@@ -505,42 +520,49 @@ def test_daemon_cost_oracle():
     sim, net, _ = build(DaemonRouting(), topo=topo)
     algo = net.algorithm
     port = net.ports[(1, 2)]
+    ((dst, prop, bw, edge_port),) = algo.edges[1]
+    assert (dst, prop, bw) == (2, 0.001, 1.5e6) and edge_port is port
     port.all_bits = 8192.0
-    ((dst, _, _, edge_port, index),) = algo.edges[1]
-    assert dst == 2 and edge_port is port
-    algo.smoothed_queue[index] = 4096.0
-    cost = algo.link_cost(topo.link_map[(1, 2)], 4096.0)
+    port.mean_bits = 4096.0
+    link = topo.link_map[(1, 2)]
+    # read at the time of the last change, the mean is mean_bits itself
+    cost = algo.link_cost(link, 4096.0)
     expected = 0.001 + 4096 / 1.5e6 + 0.6 * 8192 / 1.5e6 + 0.4 * 4096 / 1.5e6
+    assert abs(cost - expected) < 1e-12
+    # one time constant later it has moved 1 - 1/e of the way to all_bits
+    sim.now = algo.queue_mean_tau_s
+    cost = algo.link_cost(link, 4096.0)
+    s_bar = 8192 - 4096 / math.e
+    expected = 0.001 + 4096 / 1.5e6 + 0.6 * 8192 / 1.5e6 + 0.4 * s_bar / 1.5e6
     assert abs(cost - expected) < 1e-12
 
 
-@pytest.mark.parametrize("params", [(0.4, 0.9), (1.0, 0.0), (0.0, 0.5)])
+@pytest.mark.parametrize("params", [(0.4, DaemonRouting.queue_mean_tau_s), (1.0, 1e-3), (0.0, 0.05)])
 @pytest.mark.parametrize("topo_name", ["simplenet", "nsfnet", "nttnet"])
-def test_daemon_fast_path_matches_reference(topo_name, params):
-    _, net, _ = build(DaemonRouting(), topo_name)
+def test_daemon_fast_path_matches_reference(monkeypatch, topo_name, params):
+    mix, tau = params
+    monkeypatch.setattr(DaemonRouting, "queue_mean_tau_s", tau)
+    sim, net, _ = build(DaemonRouting(), topo_name)
     algo = net.algorithm
-    algo.queue_mix, algo.queue_mean_decay = params
+    algo.queue_mix = mix
+    assert {port.mean_tau_s for port in net.ports.values()} == {tau}
     topo = net.topo
     hops = {u: topo.hop_distances(u) for u in topo.nodes}
     rng = random.Random(f"{topo_name}{params}")
     ties = 0
     for draw in range(300):
-        idle = draw % 4 == 0  # all-zero queues: equal-cost paths tie
-        for port in net.ports.values():
-            if idle or rng.random() < 0.3:
-                port.all_bits = 0.0
-            else:
-                port.all_bits = rng.choice((4096.0, rng.uniform(0.0, 2e5)))
-        if idle or rng.random() < 0.2:  # otherwise carry over the last call's
-            algo.smoothed_queue = [0.0 if idle else rng.uniform(0.0, 1e5) for _ in net.ports]
+        idle = draw % 4 == 0
+        if idle or rng.random() < 0.2:  # otherwise carry over the last draw's
+            sim.now += rng.choice((0.0, rng.uniform(0.0, 10 * tau)))
+            randomize_means(net, rng, idle)
         node, dst = rng.sample(topo.nodes, 2)
         packet = Packet(DATA, rng.choice((4096.0, rng.uniform(64.0, 1e5))), node, dst, 0.0)
         if idle:
             closer = [n for n in topo.neighbors(node) if hops[n][dst] < hops[node][dst]]
             ties += len(closer) > 1
-        nxt, smoothed = daemon_reference(algo, node, packet)
+        nxt, state = daemon_reference(algo, node, packet)
         assert algo.select_next_hop(node, packet) == nxt
-        assert [x.hex() for x in algo.smoothed_queue] == [x.hex() for x in smoothed]
+        assert mean_state(net) == state
     if topo_name == "simplenet":  # uniform links: min-hop ties are cost ties
         assert ties > 0
 
@@ -555,12 +577,12 @@ def test_daemon_rejects_nonpositive_cost():
 def plain_daemon_first_hop(algo, node, packet):
     """Test-only copy of the daemon's search without its bound: an early-exit
     Dijkstra that pops ``(distance, first hop, node)`` and prices links as
-    ``select_next_hop`` does. Returns the first hop, without changing
-    ``algo``."""
+    ``link_cost`` does, with ``Port.read_mean``. Returns the first hop,
+    without changing ``algo``."""
     bits = packet.size
     mix = algo.queue_mix
     rest = 1.0 - mix
-    smoothed = algo.smoothed_queue
+    now = algo.net.sim.now
     settled = [False] * len(algo.edges)
     heap = [(0.0, 0, node)]
     while heap:
@@ -570,8 +592,8 @@ def plain_daemon_first_hop(algo, node, packet):
         if u == packet.dst:
             break
         settled[u] = True
-        for v, prop, bw, port, i in algo.edges[u]:
-            cost = prop + bits / bw + rest * port.all_bits / bw + mix * smoothed[i] / bw
+        for v, prop, bw, port in algo.edges[u]:
+            cost = prop + bits / bw + rest * port.all_bits / bw + mix * port.read_mean(now) / bw
             if not settled[v]:
                 heappush(heap, (d + cost, first or v, v))
     return first
@@ -657,20 +679,144 @@ def test_daemon_bound_is_least_propagation_delay(tmp_path, topo_name):
 
 
 def test_daemon_with_zero_delay_links_matches_reference(tmp_path):
-    _, net, _ = build(DaemonRouting(), topo=zero_delay_topology(tmp_path))
+    sim, net, _ = build(DaemonRouting(), topo=zero_delay_topology(tmp_path))
     algo = net.algorithm
     topo = net.topo
     assert algo.lower[2][1] == algo.lower[4][3] == 0.0
     rng = random.Random("zero-delay")
     for draw in range(300):
-        idle = draw % 4 == 0  # all-zero queues: equal-cost paths tie
-        for port in net.ports.values():
-            port.all_bits = 0.0 if idle or rng.random() < 0.3 else rng.uniform(0.0, 2e5)
+        sim.now += rng.choice((0.0, rng.uniform(0.0, 0.05)))
+        randomize_means(net, rng, idle=draw % 4 == 0)
         node, dst = rng.sample(topo.nodes, 2)
         packet = Packet(DATA, rng.choice((4096.0, rng.uniform(64.0, 1e5))), node, dst, 0.0)
-        nxt, smoothed = daemon_reference(algo, node, packet)
+        nxt, state = daemon_reference(algo, node, packet)
         assert algo.select_next_hop(node, packet) == nxt
-        assert [x.hex() for x in algo.smoothed_queue] == [x.hex() for x in smoothed]
+        assert mean_state(net) == state
+
+
+class MeanReference:
+    """Test-only integrator of one port's queue over time: stepped at every
+    change by the queue held since the one before, read in closed form."""
+
+    def __init__(self, tau, now, q):
+        self.tau, self.s, self.t, self.q = tau, 0.0, now, q
+
+    def change(self, now, q):
+        self.s += (1.0 - math.exp(-(now - self.t) / self.tau)) * (self.q - self.s)
+        self.t, self.q = now, q
+
+    def read(self, now):
+        return self.q + (self.s - self.q) * math.exp(-(now - self.t) / self.tau)
+
+
+def feed_every_change(monkeypatch, net):
+    """A ``MeanReference`` per port of ``net``, stepped by every write to
+    ``Port.all_bits`` from now on, whichever code makes it."""
+    slot = Port.all_bits
+    refs = {port: MeanReference(port.mean_tau_s, net.sim.now, port.all_bits) for port in net.ports.values()}
+
+    def write(port, value):
+        refs[port].change(net.sim.now, value)
+        slot.__set__(port, value)
+
+    monkeypatch.setattr(Port, "all_bits", property(slot.__get__, write))
+    return refs
+
+
+def test_daemon_decisions_at_one_instant_leave_the_means_unchanged():
+    sim, net, _ = build(DaemonRouting(), "nsfnet")
+    algo = net.algorithm
+    rng = random.Random("one instant")
+    for _ in range(400):
+        net.inject_data(*rng.sample(net.topo.nodes, 2), 4096)
+    sim.run_until(0.05)
+    state = mean_state(net)
+    assert sum(port.mean_bits > 0 for port in net.ports.values()) > 10
+    packets = [Packet(DATA, 4096, *rng.sample(net.topo.nodes, 2), 0.0) for _ in range(50)]
+    hops = [algo.select_next_hop(p.src, p) for p in packets]
+    assert mean_state(net) == state
+    assert [algo.select_next_hop(p.src, p) for p in packets] == hops
+    assert mean_state(net) == state
+
+
+def test_held_queue_reads_its_exponential_mean(monkeypatch):
+    sim, net, _ = build(DaemonRouting(), topo=from_edge_list(2, [(1, 2)], 1.5e6, 0.004))
+    port = net.ports[(1, 2)]
+    tau = port.mean_tau_s
+    ref = feed_every_change(monkeypatch, net)[port]
+    for _ in range(4):
+        net.inject_data(1, 2, 4096)
+    # the queue holds 3, 2, 1 and 0 packets for 4096/1.5e6 s each in turn
+    held = set()
+    for step in range(1, 60):
+        now = step * 2.5e-4
+        sim.run_until(now)
+        assert (port.mean_bits.hex(), port.mean_at.hex()) == (ref.s.hex(), ref.t.hex())
+        q, s, dt = port.all_bits, port.mean_bits, now - port.mean_at
+        expected = q + (s - q) * math.exp(-dt / tau)
+        assert port.read_mean(now).hex() == ref.read(now).hex() == expected.hex()
+        if dt > 0 and s != q:
+            held.add(q)
+    assert held == {0.0, 4096.0, 8192.0, 12288.0}
+
+
+# (topology, traffic, run length in s, TTL in s, decisions the trial makes at
+# least); the 0.5 s TTL makes packets expire in simplenet's overloaded queues
+MEAN_TRIALS = [
+    ("simplenet", OVERLOAD_TRAFFIC, 3.0, 0.5, 9_000),
+    ("nsfnet", HOTSPOT_TRAFFIC, 3.0, 15.0, 9_000),
+]
+
+
+@pytest.mark.parametrize(
+    "topology,traffic,run_length_s,ttl_s,floor", MEAN_TRIALS, ids=["simplenet-ttl", "nsfnet-hotspot"]
+)
+def test_daemon_reads_the_reference_mean_on_every_decision(
+    monkeypatch, topology, traffic, run_length_s, ttl_s, floor
+):
+    refs = {}
+    counts = {"decisions": 0, "queued_expiries": 0}
+    set_algorithm = Network.set_algorithm
+    select_next_hop = DaemonRouting.select_next_hop
+    on_dropped = MetricsCollector.on_dropped
+
+    def attached(net, algo):
+        set_algorithm(net, algo)
+        refs.update(feed_every_change(monkeypatch, net))
+
+    def checked(algo, node, packet):
+        net = algo.net
+        now = net.sim.now
+        for port in net.ports.values():
+            assert port.read_mean(now).hex() == refs[port].read(now).hex(), (now, port.src, port.dst)
+        state = mean_state(net)
+        hop = select_next_hop(algo, node, packet)
+        assert mean_state(net) == state
+        counts["decisions"] += 1
+        return hop
+
+    def counted(metrics, cause, kind):
+        if sys._getframe(1).f_code is Network._start_tx.__code__:
+            counts["queued_expiries"] += 1
+        on_dropped(metrics, cause, kind)
+
+    monkeypatch.setattr(Network, "set_algorithm", attached)
+    monkeypatch.setattr(DaemonRouting, "select_next_hop", checked)
+    monkeypatch.setattr(MetricsCollector, "on_dropped", counted)
+    monkeypatch.setattr(Network, "ttl_s", ttl_s)
+    cfg = ExperimentConfig(
+        topology=topology,
+        algorithm="daemon",
+        traffic=dict(traffic),
+        warmup_s=0.0,
+        run_length_s=run_length_s,
+        trials=1,
+        master_seed=11,
+    )
+    run_trial(cfg, 0)
+    assert counts["decisions"] >= floor
+    if topology == "simplenet":
+        assert counts["queued_expiries"] > 0
 
 
 def test_daemon_emits_no_routing_packets():

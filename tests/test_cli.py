@@ -75,6 +75,7 @@ def test_unknown_algorithm_param_is_a_config_error(algorithm):
         ("qr", "learning_rate"),
         ("pqr", "recovery_decay"),
         ("daemon", "queue_mix"),
+        ("daemon", "queue_mean_tau_s"),
     ],
 )
 def test_fixed_constant_is_not_an_algorithm_param(algorithm, key):

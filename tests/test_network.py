@@ -163,6 +163,24 @@ def test_only_spf_and_bf_give_ports_a_delay_monitor(name):
         assert monitors == [None] * len(monitors)
 
 
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_only_the_daemon_gives_ports_a_queue_mean(name):
+    sim = Simulator(master_seed=5)
+    net = Network(sim, builtin_topology("simplenet"), MetricsCollector())
+    net.set_algorithm(ALGORITHMS[name]())
+    rng = random.Random(name)
+    for _ in range(300):
+        net.inject_data(*rng.sample(net.topo.nodes, 2), 4096)
+    sim.run_until(2.0)
+    assert net.metrics.delivered_count["data"] > 0
+    states = {(port.mean_tau_s, port.mean_bits, port.mean_at) for port in net.ports.values()}
+    if name == "daemon":
+        assert {tau for tau, _, _ in states} == {ALGORITHMS[name].queue_mean_tau_s}
+        assert any(mean > 0.0 for _, mean, _ in states)
+    else:
+        assert states == {(None, 0.0, 0.0)}
+
+
 def test_buffer_exhaustion_drops():
     sim, net, metrics = two_node_net(buffer_bits=10_000)
     for _ in range(5):
