@@ -309,20 +309,21 @@ class DaemonRouting(RoutingAlgorithm):
     hop and routes the packet over a network-wide shortest path. Generates no
     routing packets.
 
-    A link costs ``prop + bits/bw + (1-mix)*q/bw + mix*s_bar/bw``, where
-    ``q`` is ``all_bits``, the bits waiting at its port, ``s_bar`` their mean
-    over time and ``mix`` the fixed ``queue_mix``. Each next-hop decision runs
-    one A* search from ``node``: it pushes a label of ``v`` at distance ``d``
-    as ``(d + lower[dst][v], d, first hop, v)``, prices a link only when it
-    relaxes it and stops as soon as ``packet.dst`` is settled. The bound
+    A link costs ``prop + bits/bw + (1-mix)*q/bw + mix*s_bar/bw``, where ``q``
+    is ``lo_bits``, the bits waiting at its port (the daemon sends no ants or
+    routing packets, so every waiting bit is low priority), ``s_bar`` their
+    mean over time and ``mix`` the fixed ``queue_mix``. Each next-hop decision
+    runs one A* search from ``node``: it pushes a label of ``v`` at distance
+    ``d`` as ``(d + lower[dst][v], d, first hop, v)``, prices a link only when
+    it relaxes it and stops as soon as ``packet.dst`` is settled. The bound
     ``lower[dst][v]``, built in ``attach``, is the least total propagation
     delay from ``v`` to ``dst``. Every link costs at least its ``prop`` plus
     ``bits/bw`` (2.7e-3 s for 4096 bits at 1.5 Mb/s), a margin far above the
-    rounding of the keys and the residue a drained port leaves in
-    ``all_bits``, so the bound is consistent. A node's labels pop in
-    ``(d, first hop)`` order, as a larger ``d`` never rounds to a smaller key,
-    and the first hop is that of a plain Dijkstra: equal-cost ties go to the
-    smallest first-hop id, as in ``routing.dijkstra``.
+    rounding of the keys and the residue a drained port leaves in ``lo_bits``,
+    so the bound is consistent. A node's labels pop in ``(d, first hop)``
+    order, as a larger ``d`` never rounds to a smaller key, and the first hop
+    is that of a plain Dijkstra: equal-cost ties go to the smallest first-hop
+    id, as in ``routing.dijkstra``.
 
     ``s_bar`` is the port's own time-weighted exponential mean of ``q``
     (``Port.mean_bits``), with the fixed time constant ``queue_mean_tau_s``:
@@ -372,7 +373,7 @@ class DaemonRouting(RoutingAlgorithm):
         return (
             link.prop_delay_s
             + packet_bits / link.bandwidth_bps
-            + (1.0 - self.queue_mix) * port.all_bits / link.bandwidth_bps
+            + (1.0 - self.queue_mix) * port.lo_bits / link.bandwidth_bps
             + self.queue_mix * port.read_mean(self.net.sim.now) / link.bandwidth_bps
         )
 
@@ -396,7 +397,7 @@ class DaemonRouting(RoutingAlgorithm):
             settled[u] = True
             for v, prop, bw, port in edges[u]:
                 # Port.read_mean, inline
-                q = port.all_bits
+                q = port.lo_bits
                 s_bar = q + (port.mean_bits - q) * exp(-(now - port.mean_at) / port.mean_tau_s)
                 cost = prop + bits / bw + rest * q / bw + mix * s_bar / bw
                 if cost <= 0:

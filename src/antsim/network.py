@@ -56,13 +56,15 @@ class Port:
     ``LinkCostEstimator``, which every data transmission then feeds. Under
     the other algorithms it stays ``None`` and nothing is recorded.
 
-    ``mean_bits`` is a time-weighted exponential mean of ``all_bits`` up to
-    the time ``mean_at``, with time constant ``mean_tau_s``. Only the daemon
-    asks for it: its ``attach`` sets ``mean_tau_s``, and from then on the
-    network calls ``advance_mean`` just before each change to ``all_bits``.
-    As ``all_bits`` has held since ``mean_at``, ``read_mean`` gives the mean
-    at any later time without writing it. Under the other algorithms
-    ``mean_tau_s`` stays ``None`` and nothing advances.
+    ``lo_bits``, the bits waiting in ``lo``, feeds AntNet's queue heuristic
+    and the daemon's reads and mean; the daemon sends no ants or routing
+    packets, so under it ``hi`` stays empty. ``mean_bits`` is a time-weighted
+    exponential mean of ``lo_bits`` up to ``mean_at``, with time constant
+    ``mean_tau_s``. Only the daemon asks for it: its ``attach`` sets
+    ``mean_tau_s``, and from then on the network calls ``advance_mean`` just
+    before each change to ``lo_bits``. As ``lo_bits`` has held since
+    ``mean_at``, ``read_mean`` gives the mean at any later time without
+    writing it. Under the other algorithms nothing advances it.
     """
 
     __slots__ = (
@@ -74,7 +76,6 @@ class Port:
         "lo",
         "busy",
         "lo_bits",
-        "all_bits",
         "monitor",
         "mean_tau_s",
         "mean_bits",
@@ -89,24 +90,23 @@ class Port:
         self.hi: deque = deque()
         self.lo: deque = deque()
         self.busy = False
-        self.lo_bits = 0.0  # low-priority bits waiting (ant heuristic input)
-        self.all_bits = 0.0  # all bits waiting (daemon queue reads and mean)
+        self.lo_bits = 0.0  # bits waiting in lo (ant heuristic, daemon reads and mean)
         self.monitor: Optional[LinkCostEstimator] = None
         self.mean_tau_s: Optional[float] = None
         self.mean_bits = 0.0
         self.mean_at = 0.0
 
     def advance_mean(self, now: float) -> None:
-        """Advance ``mean_bits`` to ``now`` over the ``all_bits`` held since
+        """Advance ``mean_bits`` to ``now`` over the ``lo_bits`` held since
         ``mean_at``."""
         self.mean_bits += (1.0 - exp(-(now - self.mean_at) / self.mean_tau_s)) * (
-            self.all_bits - self.mean_bits
+            self.lo_bits - self.mean_bits
         )
         self.mean_at = now
 
     def read_mean(self, now: float) -> float:
         """The mean at ``now``, not before ``mean_at``; writes nothing."""
-        q = self.all_bits
+        q = self.lo_bits
         return q + (self.mean_bits - q) * exp(-(now - self.mean_at) / self.mean_tau_s)
 
 
@@ -206,10 +206,9 @@ class Network:
             port.hi.append(packet)
         else:
             port.lo.append(packet)
+            if port.mean_tau_s is not None:
+                port.advance_mean(now)
             port.lo_bits += size
-        if port.mean_tau_s is not None:
-            port.advance_mean(now)
-        port.all_bits += size
         if not port.busy:
             self._start_tx(port, now)
 
@@ -217,16 +216,14 @@ class Network:
         while True:
             if port.hi:
                 packet = port.hi.popleft()
-                size = packet.size
             elif port.lo:
                 packet = port.lo.popleft()
-                size = packet.size
-                port.lo_bits -= size
+                if port.mean_tau_s is not None:
+                    port.advance_mean(now)
+                port.lo_bits -= packet.size
             else:
                 return
-            if port.mean_tau_s is not None:
-                port.advance_mean(now)
-            port.all_bits -= size
+            size = packet.size
             if now - packet.created_at > self.ttl_s:
                 # expired while queued: discard instead of wasting the link
                 self.buffer_used[port.src] -= size

@@ -508,9 +508,9 @@ def randomize_means(net, rng, idle):
     now = net.sim.now
     for port in net.ports.values():
         if idle:
-            port.all_bits = port.mean_bits = 0.0
+            port.lo_bits = port.mean_bits = 0.0
             continue
-        port.all_bits = 0.0 if rng.random() < 0.3 else rng.choice((4096.0, rng.uniform(0.0, 2e5)))
+        port.lo_bits = 0.0 if rng.random() < 0.3 else rng.choice((4096.0, rng.uniform(0.0, 2e5)))
         port.mean_bits = rng.uniform(0.0, 1e5)
         port.mean_at = rng.choice((now, now - 1e3, now - rng.uniform(0.0, 5 * port.mean_tau_s)))
 
@@ -522,14 +522,14 @@ def test_daemon_cost_oracle():
     port = net.ports[(1, 2)]
     ((dst, prop, bw, edge_port),) = algo.edges[1]
     assert (dst, prop, bw) == (2, 0.001, 1.5e6) and edge_port is port
-    port.all_bits = 8192.0
+    port.lo_bits = 8192.0
     port.mean_bits = 4096.0
     link = topo.link_map[(1, 2)]
     # read at the time of the last change, the mean is mean_bits itself
     cost = algo.link_cost(link, 4096.0)
     expected = 0.001 + 4096 / 1.5e6 + 0.6 * 8192 / 1.5e6 + 0.4 * 4096 / 1.5e6
     assert abs(cost - expected) < 1e-12
-    # one time constant later it has moved 1 - 1/e of the way to all_bits
+    # one time constant later it has moved 1 - 1/e of the way to lo_bits
     sim.now = algo.queue_mean_tau_s
     cost = algo.link_cost(link, 4096.0)
     s_bar = 8192 - 4096 / math.e
@@ -569,7 +569,7 @@ def test_daemon_fast_path_matches_reference(monkeypatch, topo_name, params):
 
 def test_daemon_rejects_nonpositive_cost():
     sim, net, _ = build(DaemonRouting())
-    net.ports[(1, 2)].all_bits = -1e12
+    net.ports[(1, 2)].lo_bits = -1e12
     with pytest.raises(ValueError, match="nonpositive cost on link 1->2"):
         net.algorithm.select_next_hop(1, Packet(DATA, 4096, 1, 6, 0.0))
 
@@ -593,7 +593,7 @@ def plain_daemon_first_hop(algo, node, packet):
             break
         settled[u] = True
         for v, prop, bw, port in algo.edges[u]:
-            cost = prop + bits / bw + rest * port.all_bits / bw + mix * port.read_mean(now) / bw
+            cost = prop + bits / bw + rest * port.lo_bits / bw + mix * port.read_mean(now) / bw
             if not settled[v]:
                 heappush(heap, (d + cost, first or v, v))
     return first
@@ -711,15 +711,15 @@ class MeanReference:
 
 def feed_every_change(monkeypatch, net):
     """A ``MeanReference`` per port of ``net``, stepped by every write to
-    ``Port.all_bits`` from now on, whichever code makes it."""
-    slot = Port.all_bits
-    refs = {port: MeanReference(port.mean_tau_s, net.sim.now, port.all_bits) for port in net.ports.values()}
+    ``Port.lo_bits`` from now on, whichever code makes it."""
+    slot = Port.lo_bits
+    refs = {port: MeanReference(port.mean_tau_s, net.sim.now, port.lo_bits) for port in net.ports.values()}
 
     def write(port, value):
         refs[port].change(net.sim.now, value)
         slot.__set__(port, value)
 
-    monkeypatch.setattr(Port, "all_bits", property(slot.__get__, write))
+    monkeypatch.setattr(Port, "lo_bits", property(slot.__get__, write))
     return refs
 
 
@@ -752,7 +752,7 @@ def test_held_queue_reads_its_exponential_mean(monkeypatch):
         now = step * 2.5e-4
         sim.run_until(now)
         assert (port.mean_bits.hex(), port.mean_at.hex()) == (ref.s.hex(), ref.t.hex())
-        q, s, dt = port.all_bits, port.mean_bits, now - port.mean_at
+        q, s, dt = port.lo_bits, port.mean_bits, now - port.mean_at
         expected = q + (s - q) * math.exp(-dt / tau)
         assert port.read_mean(now).hex() == ref.read(now).hex() == expected.hex()
         if dt > 0 and s != q:
@@ -788,6 +788,8 @@ def test_daemon_reads_the_reference_mean_on_every_decision(
         net = algo.net
         now = net.sim.now
         for port in net.ports.values():
+            # the daemon queues no control packets, so lo_bits is every waiting bit
+            assert not port.hi, (now, port.src, port.dst)
             assert port.read_mean(now).hex() == refs[port].read(now).hex(), (now, port.src, port.dst)
         state = mean_state(net)
         hop = select_next_hop(algo, node, packet)
@@ -833,7 +835,7 @@ def test_daemon_routes_around_congestion():
     sim, net, _ = build(DaemonRouting())
     algo = net.algorithm
     # load the queue on the 1->3 entry of the shortest path heavily
-    net.ports[(1, 3)].all_bits = 5e6
+    net.ports[(1, 3)].lo_bits = 5e6
     p = Packet(DATA, 4096, 1, 6, 0.0)
     assert algo.select_next_hop(1, p) == 8
 

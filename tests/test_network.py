@@ -93,8 +93,8 @@ def test_back_to_back_packets_queue_behind_transmitter():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="FOUND in CHANGES.md: Port.lo_bits and all_bits are running float sums, so a "
-    "drained queue keeps a residue that AntNet's queue heuristic reads",
+    reason="FOUND in CHANGES.md: Port.lo_bits is a running float sum, so a drained queue "
+    "keeps a residue that AntNet's queue heuristic and the daemon read",
 )
 def test_drained_port_reads_zero_queue_bits():
     sim, net, metrics = two_node_net()
@@ -104,7 +104,7 @@ def test_drained_port_reads_zero_queue_bits():
     sim.run_until(5.0)
     port = net.ports[(1, 2)]
     assert metrics.delivered_count[DATA] == 20 and not port.lo and not port.hi
-    assert (port.lo_bits, port.all_bits) == (0.0, 0.0)  # 5.68e-12 each
+    assert port.lo_bits == 0.0  # 5.68e-12
 
 
 def test_high_priority_departs_before_queued_data():

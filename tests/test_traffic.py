@@ -1,13 +1,17 @@
+import hashlib
 import math
 
 import pytest
 
+from antsim.cli import ALGORITHMS, ExperimentConfig, run_trial
 from antsim.engine import Simulator
 from antsim.metrics import MetricsCollector
 from antsim.network import Network
 from antsim.routing import RoutingAlgorithm
 from antsim.topology import builtin_topology
 from antsim.traffic import TrafficSource, TrafficSpec
+
+from test_golden import HOTSPOT_TRAFFIC
 
 
 class Sink(RoutingAlgorithm):
@@ -184,15 +188,34 @@ def test_poisson_arrival_rate_roughly_matches_msia():
     assert abs(generated - expected) / expected < 0.15
 
 
-def test_same_seed_same_workload_across_algorithms():
-    counts = []
-    for _ in range(2):
-        sim, net = make_net(seed=9)
-        spec = TrafficSpec(temporal="P", msia_s=1.0, mpia_s=0.01)
-        TrafficSource(net, spec, 0.0, 50.0).start()
-        sim.run_until(60.0)
-        counts.append(net.metrics.generated_count["data"])
-    assert counts[0] == counts[1]
+def test_same_seed_same_workload_across_algorithms(monkeypatch):
+    # one short nsfnet trial per algorithm, hashing every inject_data call. The
+    # hot spot at node 4 is on from 1 s, so sessions and hot spot both inject:
+    # 7,342 calls, of which sessions alone make 2,216
+    hashes = {}
+    inject_data = Network.inject_data
+
+    def hashed(net, src, dst, size):
+        sha, count = hashes[net.algorithm.name]
+        sha.update(repr((net.sim.now.hex(), src, dst, float(size).hex())).encode())
+        hashes[net.algorithm.name] = (sha, count + 1)
+        inject_data(net, src, dst, size)
+
+    monkeypatch.setattr(Network, "inject_data", hashed)
+    for name in sorted(ALGORITHMS):
+        hashes[name] = (hashlib.sha256(), 0)
+        cfg = ExperimentConfig(
+            topology="nsfnet",
+            algorithm=name,
+            traffic=dict(HOTSPOT_TRAFFIC),
+            warmup_s=0.5,
+            run_length_s=3.0,
+            trials=1,
+            master_seed=9,
+        )
+        run_trial(cfg, 0)
+    assert len({(sha.hexdigest(), count) for sha, count in hashes.values()}) == 1
+    assert min(count for _, count in hashes.values()) > 5000
 
 
 def test_randomized_spatial_means_stay_in_half_to_threehalves():
