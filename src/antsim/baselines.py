@@ -304,6 +304,27 @@ class PQRouting(QRouting):
     recovery_learning = 0.7
 
 
+class QueueMean:
+    """The daemon's time-weighted exponential mean of one port's queue ``q``,
+    time constant ``tau``: ``bits`` is the mean up to ``at``. The network
+    calls ``advance`` just before ``q`` changes, so ``q`` has held since
+    ``at``, and ``read`` gives the mean at any later time, writing nothing."""
+
+    __slots__ = ("tau", "bits", "at")
+
+    def __init__(self, tau: float, at: float):
+        self.tau = tau
+        self.bits = 0.0
+        self.at = at
+
+    def advance(self, now: float, q: float) -> None:
+        self.bits += (1.0 - exp(-(now - self.at) / self.tau)) * (q - self.bits)
+        self.at = now
+
+    def read(self, now: float, q: float) -> float:
+        return q + (self.bits - q) * exp(-(now - self.at) / self.tau)
+
+
 class DaemonRouting(RoutingAlgorithm):
     """Empirical performance bound: reads every queue in the network at each
     hop and routes the packet over a network-wide shortest path. Generates no
@@ -325,17 +346,14 @@ class DaemonRouting(RoutingAlgorithm):
     is that of a plain Dijkstra: equal-cost ties go to the smallest first-hop
     id, as in ``routing.dijkstra``.
 
-    ``s_bar`` is the port's own time-weighted exponential mean of ``q``
-    (``Port.mean_bits``), with the fixed time constant ``queue_mean_tau_s``:
-    ``attach`` turns it on for every port, the network advances it as
-    ``s += (1 - exp(-dt/tau)) * (q - s)`` just before each change to ``q``,
-    and a decision reads it at ``now`` as ``q + (s - q) * exp(-(now - t)/tau)``
-    without writing it, so the window is a span of time whatever the packet
-    rate, and decisions at the same instant see the same values. The 4 ms
-    keeps the window of the earlier per-decision step ``s = 0.9*s + 0.1*q``
-    at the load of the benchmark's NSFNET UP workload, about 2,440 decisions
-    per simulated second: a decay of 0.9 per decision has a time constant of
-    ``-1/ln 0.9``, 9.5 decisions, or 3.9 ms.
+    ``s_bar`` is the read of the port's ``QueueMean`` (``Port.mean``), which
+    ``attach`` gives every port with the fixed ``queue_mean_tau_s``. A
+    decision only reads the means, so the window is a span of time whatever
+    the packet rate, and decisions at the same instant see the same values.
+    The 4 ms keeps the window of the earlier per-decision step
+    ``s = 0.9*s + 0.1*q`` at the load of the benchmark's NSFNET UP workload,
+    about 2,440 decisions per simulated second: a decay of 0.9 per decision
+    has a time constant of ``-1/ln 0.9``, 9.5 decisions, or 3.9 ms.
     """
 
     name = "daemon"
@@ -347,8 +365,7 @@ class DaemonRouting(RoutingAlgorithm):
         self.net = net
         now = net.sim.now
         for port in net.ports.values():
-            port.mean_tau_s = self.queue_mean_tau_s
-            port.mean_at = now
+            port.mean = QueueMean(self.queue_mean_tau_s, now)
         # edges[u]: (dst, prop_delay_s, bandwidth_bps, port) per out-link of
         # u, by dst. Node ids are 1..n, so edges[0] stays empty.
         self.edges: List[Tuple] = [()] + [
@@ -374,7 +391,7 @@ class DaemonRouting(RoutingAlgorithm):
             link.prop_delay_s
             + packet_bits / link.bandwidth_bps
             + (1.0 - self.queue_mix) * port.lo_bits / link.bandwidth_bps
-            + self.queue_mix * port.read_mean(self.net.sim.now) / link.bandwidth_bps
+            + self.queue_mix * port.mean.read(self.net.sim.now, port.lo_bits) / link.bandwidth_bps
         )
 
     def select_next_hop(self, node: int, packet: Packet) -> int:
@@ -396,9 +413,10 @@ class DaemonRouting(RoutingAlgorithm):
                 break
             settled[u] = True
             for v, prop, bw, port in edges[u]:
-                # Port.read_mean, inline
+                # QueueMean.read, inline
                 q = port.lo_bits
-                s_bar = q + (port.mean_bits - q) * exp(-(now - port.mean_at) / port.mean_tau_s)
+                m = port.mean
+                s_bar = q + (m.bits - q) * exp(-(now - m.at) / m.tau)
                 cost = prop + bits / bw + rest * q / bw + mix * s_bar / bw
                 if cost <= 0:
                     raise ValueError(f"nonpositive cost on link {u}->{v}")

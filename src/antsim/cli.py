@@ -113,14 +113,14 @@ def load_config(path: str, **overrides) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config file must hold a JSON object")
     raw.update({k: v for k, v in overrides.items() if v is not None})
-    allowed = set(ExperimentConfig.__dataclass_fields__)
+    params = inspect.signature(ExperimentConfig).parameters
     for key in raw:
-        if key not in allowed:
+        if key not in params:
             raise ConfigError(f"{key}: unknown configuration key")
-    try:
-        return ExperimentConfig(**raw)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    for key, param in params.items():
+        if param.default is param.empty and key not in raw:
+            raise ConfigError(f"{key}: missing key")
+    return ExperimentConfig(**raw)
 
 
 def resolve_topology(name: str):

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from collections import deque
 from functools import reduce
-from math import exp
 from operator import add
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -43,7 +42,7 @@ class Packet:
         self.created_at = created_at
         self.payload = payload
         self.prev_node = None  # node this packet last arrived from
-        self.node_arrival = created_at  # arrival time at the current node
+        self.node_arrival = created_at  # arrival time at the current node, set by _arrive
         self.port_enqueue = created_at
 
 
@@ -57,14 +56,12 @@ class Port:
     the other algorithms it stays ``None`` and nothing is recorded.
 
     ``lo_bits``, the bits waiting in ``lo``, feeds AntNet's queue heuristic
-    and the daemon's reads and mean; the daemon sends no ants or routing
-    packets, so under it ``hi`` stays empty. ``mean_bits`` is a time-weighted
-    exponential mean of ``lo_bits`` up to ``mean_at``, with time constant
-    ``mean_tau_s``. Only the daemon asks for it: its ``attach`` sets
-    ``mean_tau_s``, and from then on the network calls ``advance_mean`` just
-    before each change to ``lo_bits``. As ``lo_bits`` has held since
-    ``mean_at``, ``read_mean`` gives the mean at any later time without
-    writing it. Under the other algorithms nothing advances it.
+    and the daemon's reads; the daemon sends no ants or routing packets, so
+    under it ``hi`` stays empty. ``mean`` belongs to the daemon the same way:
+    its ``attach`` gives each port a ``QueueMean``, which the network then
+    advances just before ``lo_bits`` first changes at an instant the mean
+    has not reached (``mean.at``). Under the other algorithms it stays
+    ``None``.
     """
 
     __slots__ = (
@@ -77,9 +74,7 @@ class Port:
         "busy",
         "lo_bits",
         "monitor",
-        "mean_tau_s",
-        "mean_bits",
-        "mean_at",
+        "mean",
     )
 
     def __init__(self, link: Link):
@@ -92,22 +87,7 @@ class Port:
         self.busy = False
         self.lo_bits = 0.0  # bits waiting in lo (ant heuristic, daemon reads and mean)
         self.monitor: Optional[LinkCostEstimator] = None
-        self.mean_tau_s: Optional[float] = None
-        self.mean_bits = 0.0
-        self.mean_at = 0.0
-
-    def advance_mean(self, now: float) -> None:
-        """Advance ``mean_bits`` to ``now`` over the ``lo_bits`` held since
-        ``mean_at``."""
-        self.mean_bits += (1.0 - exp(-(now - self.mean_at) / self.mean_tau_s)) * (
-            self.lo_bits - self.mean_bits
-        )
-        self.mean_at = now
-
-    def read_mean(self, now: float) -> float:
-        """The mean at ``now``, not before ``mean_at``; writes nothing."""
-        q = self.lo_bits
-        return q + (self.mean_bits - q) * exp(-(now - self.mean_at) / self.mean_tau_s)
+        self.mean = None  # the daemon's QueueMean
 
 
 class Network:
@@ -117,9 +97,8 @@ class Network:
     has no observable effect: under an algorithm that does not override
     ``on_data_arrival`` (decided in ``set_algorithm``), for a packet not at
     its destination and within its TTL on arrival. When its transmission
-    ends, ``_tx_done`` sets ``prev_node`` and ``node_arrival`` as the arrival
-    would have, and schedules ``dispatch`` at the arrival time plus the
-    service delay.
+    ends, ``_tx_done`` sets ``prev_node`` as the arrival would have, and
+    schedules ``dispatch`` at the arrival time plus the service delay.
 
     A routing packet's visit is one event too, ``on_routing_packet`` at the
     end of its elaboration, its arrival time plus ``elab_s``, since nothing
@@ -206,8 +185,9 @@ class Network:
             port.hi.append(packet)
         else:
             port.lo.append(packet)
-            if port.mean_tau_s is not None:
-                port.advance_mean(now)
+            mean = port.mean
+            if mean is not None and mean.at != now:
+                mean.advance(now, port.lo_bits)
             port.lo_bits += size
         if not port.busy:
             self._start_tx(port, now)
@@ -218,8 +198,6 @@ class Network:
                 packet = port.hi.popleft()
             elif port.lo:
                 packet = port.lo.popleft()
-                if port.mean_tau_s is not None:
-                    port.advance_mean(now)
                 port.lo_bits -= packet.size
             else:
                 return
@@ -251,9 +229,8 @@ class Network:
             and port.dst != packet.dst
             and t_arr - packet.created_at <= self.ttl_s
         ):
-            # nothing reads these two fields while the packet is on the link
+            # nothing reads prev_node while the packet is on the link
             packet.prev_node = port.src
-            packet.node_arrival = t_arr
             self.sim.schedule(t_arr + self.node_service_s, self.dispatch, port.dst, packet)
         elif packet.kind == ROUTING_INFO:
             # the collector keeps the delay of data deliveries only
@@ -265,6 +242,9 @@ class Network:
         else:
             self.sim.schedule(t_arr, self._arrive, port, packet)
         if port.hi or port.lo:
+            mean = port.mean
+            if mean is not None and mean.at != now:
+                mean.advance(now, port.lo_bits)
             self._start_tx(port, now)
 
     # -- reception -----------------------------------------------------------

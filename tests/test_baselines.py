@@ -13,6 +13,7 @@ from antsim.baselines import (
     OspfRouting,
     PQRouting,
     QRouting,
+    QueueMean,
     SpfRouting,
 )
 from antsim.cli import ExperimentConfig, run_trial
@@ -481,8 +482,8 @@ def test_pqr_recovery_rate_stays_nonpositive():
 
 
 def mean_state(net):
-    """Every port's queue-mean state ``(mean_bits, mean_at)``, as float hex."""
-    return [(port.mean_bits.hex(), port.mean_at.hex()) for port in net.ports.values()]
+    """Every port's queue-mean state ``(bits, at)``, as float hex."""
+    return [(port.mean.bits.hex(), port.mean.at.hex()) for port in net.ports.values()]
 
 
 def daemon_reference(algo, node, packet):
@@ -508,11 +509,11 @@ def randomize_means(net, rng, idle):
     now = net.sim.now
     for port in net.ports.values():
         if idle:
-            port.lo_bits = port.mean_bits = 0.0
+            port.lo_bits = port.mean.bits = 0.0
             continue
         port.lo_bits = 0.0 if rng.random() < 0.3 else rng.choice((4096.0, rng.uniform(0.0, 2e5)))
-        port.mean_bits = rng.uniform(0.0, 1e5)
-        port.mean_at = rng.choice((now, now - 1e3, now - rng.uniform(0.0, 5 * port.mean_tau_s)))
+        port.mean.bits = rng.uniform(0.0, 1e5)
+        port.mean.at = rng.choice((now, now - 1e3, now - rng.uniform(0.0, 5 * port.mean.tau)))
 
 
 def test_daemon_cost_oracle():
@@ -523,9 +524,9 @@ def test_daemon_cost_oracle():
     ((dst, prop, bw, edge_port),) = algo.edges[1]
     assert (dst, prop, bw) == (2, 0.001, 1.5e6) and edge_port is port
     port.lo_bits = 8192.0
-    port.mean_bits = 4096.0
+    port.mean.bits = 4096.0
     link = topo.link_map[(1, 2)]
-    # read at the time of the last change, the mean is mean_bits itself
+    # read at the time of the last change, the mean is mean.bits itself
     cost = algo.link_cost(link, 4096.0)
     expected = 0.001 + 4096 / 1.5e6 + 0.6 * 8192 / 1.5e6 + 0.4 * 4096 / 1.5e6
     assert abs(cost - expected) < 1e-12
@@ -545,7 +546,7 @@ def test_daemon_fast_path_matches_reference(monkeypatch, topo_name, params):
     sim, net, _ = build(DaemonRouting(), topo_name)
     algo = net.algorithm
     algo.queue_mix = mix
-    assert {port.mean_tau_s for port in net.ports.values()} == {tau}
+    assert {port.mean.tau for port in net.ports.values()} == {tau}
     topo = net.topo
     hops = {u: topo.hop_distances(u) for u in topo.nodes}
     rng = random.Random(f"{topo_name}{params}")
@@ -577,7 +578,7 @@ def test_daemon_rejects_nonpositive_cost():
 def plain_daemon_first_hop(algo, node, packet):
     """Test-only copy of the daemon's search without its bound: an early-exit
     Dijkstra that pops ``(distance, first hop, node)`` and prices links as
-    ``link_cost`` does, with ``Port.read_mean``. Returns the first hop,
+    ``link_cost`` does, with ``QueueMean.read``. Returns the first hop,
     without changing ``algo``."""
     bits = packet.size
     mix = algo.queue_mix
@@ -593,7 +594,8 @@ def plain_daemon_first_hop(algo, node, packet):
             break
         settled[u] = True
         for v, prop, bw, port in algo.edges[u]:
-            cost = prop + bits / bw + rest * port.lo_bits / bw + mix * port.read_mean(now) / bw
+            q = port.lo_bits
+            cost = prop + bits / bw + rest * q / bw + mix * port.mean.read(now, q) / bw
             if not settled[v]:
                 heappush(heap, (d + cost, first or v, v))
     return first
@@ -713,7 +715,7 @@ def feed_every_change(monkeypatch, net):
     """A ``MeanReference`` per port of ``net``, stepped by every write to
     ``Port.lo_bits`` from now on, whichever code makes it."""
     slot = Port.lo_bits
-    refs = {port: MeanReference(port.mean_tau_s, net.sim.now, port.lo_bits) for port in net.ports.values()}
+    refs = {port: MeanReference(port.mean.tau, net.sim.now, port.lo_bits) for port in net.ports.values()}
 
     def write(port, value):
         refs[port].change(net.sim.now, value)
@@ -721,6 +723,22 @@ def feed_every_change(monkeypatch, net):
 
     monkeypatch.setattr(Port, "lo_bits", property(slot.__get__, write))
     return refs
+
+
+def count_advances(monkeypatch):
+    """Wrap ``QueueMean.advance`` to count its calls and fail any at an
+    instant the mean has already reached: such a step, by ``exp(0)``, does
+    nothing."""
+    advance = QueueMean.advance
+    calls = []
+
+    def once_per_instant(mean, now, q):
+        assert now != mean.at, now
+        calls.append(now)
+        advance(mean, now, q)
+
+    monkeypatch.setattr(QueueMean, "advance", once_per_instant)
+    return calls
 
 
 def test_daemon_decisions_at_one_instant_leave_the_means_unchanged():
@@ -731,7 +749,7 @@ def test_daemon_decisions_at_one_instant_leave_the_means_unchanged():
         net.inject_data(*rng.sample(net.topo.nodes, 2), 4096)
     sim.run_until(0.05)
     state = mean_state(net)
-    assert sum(port.mean_bits > 0 for port in net.ports.values()) > 10
+    assert sum(port.mean.bits > 0 for port in net.ports.values()) > 10
     packets = [Packet(DATA, 4096, *rng.sample(net.topo.nodes, 2), 0.0) for _ in range(50)]
     hops = [algo.select_next_hop(p.src, p) for p in packets]
     assert mean_state(net) == state
@@ -742,8 +760,10 @@ def test_daemon_decisions_at_one_instant_leave_the_means_unchanged():
 def test_held_queue_reads_its_exponential_mean(monkeypatch):
     sim, net, _ = build(DaemonRouting(), topo=from_edge_list(2, [(1, 2)], 1.5e6, 0.004))
     port = net.ports[(1, 2)]
-    tau = port.mean_tau_s
+    tau = port.mean.tau
     ref = feed_every_change(monkeypatch, net)[port]
+    advances = count_advances(monkeypatch)
+    # all four reach the port at one instant, which the mean reaches once
     for _ in range(4):
         net.inject_data(1, 2, 4096)
     # the queue holds 3, 2, 1 and 0 packets for 4096/1.5e6 s each in turn
@@ -751,13 +771,14 @@ def test_held_queue_reads_its_exponential_mean(monkeypatch):
     for step in range(1, 60):
         now = step * 2.5e-4
         sim.run_until(now)
-        assert (port.mean_bits.hex(), port.mean_at.hex()) == (ref.s.hex(), ref.t.hex())
-        q, s, dt = port.lo_bits, port.mean_bits, now - port.mean_at
+        assert (port.mean.bits.hex(), port.mean.at.hex()) == (ref.s.hex(), ref.t.hex())
+        q, s, dt = port.lo_bits, port.mean.bits, now - port.mean.at
         expected = q + (s - q) * math.exp(-dt / tau)
-        assert port.read_mean(now).hex() == ref.read(now).hex() == expected.hex()
+        assert port.mean.read(now, q).hex() == ref.read(now).hex() == expected.hex()
         if dt > 0 and s != q:
             held.add(q)
     assert held == {0.0, 4096.0, 8192.0, 12288.0}
+    assert len(advances) == 4
 
 
 # (topology, traffic, run length in s, TTL in s, decisions the trial makes at
@@ -779,6 +800,7 @@ def test_daemon_reads_the_reference_mean_on_every_decision(
     set_algorithm = Network.set_algorithm
     select_next_hop = DaemonRouting.select_next_hop
     on_dropped = MetricsCollector.on_dropped
+    advances = count_advances(monkeypatch)
 
     def attached(net, algo):
         set_algorithm(net, algo)
@@ -790,7 +812,8 @@ def test_daemon_reads_the_reference_mean_on_every_decision(
         for port in net.ports.values():
             # the daemon queues no control packets, so lo_bits is every waiting bit
             assert not port.hi, (now, port.src, port.dst)
-            assert port.read_mean(now).hex() == refs[port].read(now).hex(), (now, port.src, port.dst)
+            read = port.mean.read(now, port.lo_bits)
+            assert read.hex() == refs[port].read(now).hex(), (now, port.src, port.dst)
         state = mean_state(net)
         hop = select_next_hop(algo, node, packet)
         assert mean_state(net) == state
@@ -817,6 +840,7 @@ def test_daemon_reads_the_reference_mean_on_every_decision(
     )
     run_trial(cfg, 0)
     assert counts["decisions"] >= floor
+    assert len(advances) >= floor
     if topology == "simplenet":
         assert counts["queued_expiries"] > 0
 

@@ -98,12 +98,25 @@ def test_nonpositive_interval_is_a_config_error(algorithm, key, bad):
         small_config(algorithm=algorithm, algorithm_params={key: bad})
 
 
-def test_load_config_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"topology": "simplenet", "algorithm": "spf",
-                                "typo_key": 1}))
-    with pytest.raises(ConfigError, match="typo_key"):
-        load_config(str(path))
+def test_load_config_rejects_unknown_keys(tmp_path, capsys):
+    # (config, the key the error starts with, its message); a missing key is
+    # named like an unknown one
+    cases = [
+        ({"topology": "simplenet", "algorithm": "spf", "typo_key": 1},
+         "typo_key", "unknown configuration key"),
+        ({"algorithm": "antnet"}, "topology", "missing key"),
+        ({"topology": "simplenet"}, "algorithm", "missing key"),
+    ]
+    for raw, key, message in cases:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=f"^{key}: {message}$"):
+            load_config(str(path))
+        out = tmp_path / "res"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {key}: {message}\n" and captured.out == ""
+        assert not out.exists()
 
 
 def test_load_config_applies_overrides(tmp_path):
@@ -264,6 +277,43 @@ def test_sweep_load_one_aggregate_per_point(tmp_path):
     assert all("throughput_bps" in r for r in rows)
     # heavier load (smaller inter-arrival mean) carries more bits
     assert rows[1]["throughput_bps"] > rows[0]["throughput_bps"]
+
+
+def test_main_sweeps_print_one_line_per_point(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"topology": "simplenet", "algorithm": "antnet",
+                                "traffic": SMALL_TRAFFIC, "run_length_s": 8.0,
+                                "warmup_s": 4.0, "trials": 1, "master_seed": 123}))
+    out = tmp_path / "res"
+    number = r"[-+.\deinf]+"
+    assert main(["sweep-rate", str(path), "--out", str(out), "--rates", "0.3", "0.6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["interval=0.3", "interval=0.6"]
+    for line in lines:
+        assert re.fullmatch(
+            rf"interval={number} overhead={number} normalized_power=({number}|None)", line
+        )
+    rows = json.loads((out / "rate_sweep.json").read_text())
+    assert [r["launch_interval_s"] for r in rows] == [0.3, 0.6]
+
+    assert main(["sweep-load", str(path), "--out", str(out), "--msia", "2", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["msia=2", "msia=1"]
+    for line in lines:
+        assert re.fullmatch(rf"msia={number} throughput={number} p90=({number}|None)", line)
+    rows = json.loads((out / "antnet_load_sweep.json").read_text())
+    assert [r["msia_s"] for r in rows] == [2.0, 1.0]
+
+
+def test_aggregate_of_trials_without_deliveries_has_no_delays():
+    # the first sessions start after the 1 ms run has ended
+    cfg = small_config(warmup_s=0.0, run_length_s=0.001)
+    summaries = [run_trial(cfg, trial)[0] for trial in range(2)]
+    assert [s["delay_samples"] for s in summaries] == [0, 0]
+    agg = aggregate_summaries(summaries)
+    assert agg["throughput_bps"] == 0.0
+    for key in ("delay_mean_s", "delay_p50_s", "delay_p90_s", "power"):
+        assert agg[key] is None, key
 
 
 def test_main_topo_stats(tmp_path, capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from antsim.baselines import QueueMean
 from antsim.cli import ALGORITHMS
 from antsim.engine import Simulator
 from antsim.metrics import MetricsCollector
@@ -173,12 +174,14 @@ def test_only_the_daemon_gives_ports_a_queue_mean(name):
         net.inject_data(*rng.sample(net.topo.nodes, 2), 4096)
     sim.run_until(2.0)
     assert net.metrics.delivered_count["data"] > 0
-    states = {(port.mean_tau_s, port.mean_bits, port.mean_at) for port in net.ports.values()}
+    means = [port.mean for port in net.ports.values()]
     if name == "daemon":
-        assert {tau for tau, _, _ in states} == {ALGORITHMS[name].queue_mean_tau_s}
-        assert any(mean > 0.0 for _, mean, _ in states)
+        assert all(isinstance(m, QueueMean) for m in means)
+        assert len({id(m) for m in means}) == len(means)
+        assert {m.tau for m in means} == {ALGORITHMS[name].queue_mean_tau_s}
+        assert any(m.bits > 0.0 for m in means)
     else:
-        assert states == {(None, 0.0, 0.0)}
+        assert means == [None] * len(means)
 
 
 def test_buffer_exhaustion_drops():
