@@ -121,9 +121,9 @@ def test_load_config_rejects_unknown_keys(tmp_path, capsys):
 
 def test_load_config_applies_overrides(tmp_path):
     path = tmp_path / "ok.json"
-    path.write_text(json.dumps({"topology": "simplenet", "algorithm": "spf",
-                                "traffic": SMALL_TRAFFIC}))
-    cfg = load_config(str(path), trials=3, master_seed=9)
+    # the file lacks algorithm, which the override supplies
+    path.write_text(json.dumps({"topology": "simplenet", "traffic": SMALL_TRAFFIC}))
+    cfg = load_config(str(path), algorithm="spf", trials=3, master_seed=9)
     assert cfg.trials == 3 and cfg.master_seed == 9
     assert cfg.label == "spf"
 
