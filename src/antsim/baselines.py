@@ -31,11 +31,7 @@ def _min_hop_next(topo) -> Dict[int, Dict[int, int]]:
     """Static min-hop next-hop tables (smallest-id tie-break), used as the
     pre-convergence fallback by the adaptive protocols."""
     adjacency = {u: [(l.dst, 1.0) for l in topo.out_links[u]] for u in topo.nodes}
-    tables: Dict[int, Dict[int, int]] = {}
-    for u in topo.nodes:
-        _, hop = dijkstra(topo.n_nodes, adjacency, u)
-        tables[u] = {d: h for d, h in hop.items() if h is not None}
-    return tables
+    return {u: dijkstra(adjacency, u)[1] for u in topo.nodes}
 
 
 def _monitor_ports(net) -> None:
@@ -118,8 +114,7 @@ class _LinkStateBase(_PeriodicBroadcast):
         adjacency = {
             origin: list(costs.items()) for origin, (_, costs) in self.lsdb[node].items()
         }
-        _, hop = dijkstra(self.net.topo.n_nodes, adjacency, node)
-        self.tables[node] = {d: h for d, h in hop.items() if h is not None}
+        self.tables[node] = dijkstra(adjacency, node)[1]
 
     def select_next_hop(self, node: int, packet: Packet) -> int:
         if self.tables[node] is None:
@@ -381,7 +376,7 @@ class DaemonRouting(RoutingAlgorithm):
             into[link.dst].append((link.src, link.prop_delay_s))
         self.lower: List[List[float]] = [[]]
         for dst in nodes:
-            dist, _ = dijkstra(net.topo.n_nodes, into, dst)
+            dist, _ = dijkstra(into, dst)
             self.lower.append([float("inf")] + [dist[v] for v in nodes])
 
     def link_cost(self, link, packet_bits: float) -> float:

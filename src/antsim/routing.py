@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 INFINITY = math.inf
 
@@ -43,39 +43,34 @@ class RoutingAlgorithm:
 
 
 def dijkstra(
-    n_nodes: int,
     adjacency: Dict[int, List[Tuple[int, float]]],
     src: int,
-) -> Tuple[Dict[int, float], Dict[int, Optional[int]]]:
+) -> Tuple[Dict[int, float], Dict[int, int]]:
     """Single-source shortest paths over ``{node: [(neighbor, cost), ...]}``.
 
-    Returns (distance, first-hop neighbor) per destination. Ties between
-    equal-cost paths resolve to the smallest first-hop neighbor id; the
-    lexicographic (distance, first_hop) heap order makes that exact.
-    Unreachable destinations get distance +inf and first hop None. A cost
-    may be 0; a negative or NaN cost is a ``ValueError``.
+    Returns the distance of every node reached from ``src`` and the first-hop
+    neighbor of every reached node except ``src``; an unreachable node is in
+    neither dict. Ties between equal-cost paths resolve to the smallest
+    first-hop neighbor id; the lexicographic (distance, first_hop) heap order
+    makes that exact. A cost may be 0; a negative or NaN cost is a
+    ``ValueError``.
     """
-    dist: Dict[int, float] = {src: 0.0}
-    hop: Dict[int, Optional[int]] = {src: None}
-    settled: Set[int] = set()
+    dist: Dict[int, float] = {}
+    hop: Dict[int, int] = {}
+    # (distance, first hop, node); node ids are >= 1, so 0 marks the source
     heap: List[Tuple[float, int, int]] = [(0.0, 0, src)]
     while heap:
         d, first, u = heapq.heappop(heap)
-        if u in settled:
+        if u in dist:
             continue
-        settled.add(u)
         dist[u] = d
-        hop[u] = first if u != src else None
+        if first:
+            hop[u] = first
         for v, cost in adjacency.get(u, ()):
             if not cost >= 0:
                 raise ValueError(f"negative or NaN cost on link {u}->{v}")
-            if v in settled:
-                continue
-            heapq.heappush(heap, (d + cost, first if u != src else v, v))
-    for v in range(1, n_nodes + 1):
-        if v not in dist:
-            dist[v] = INFINITY
-            hop[v] = None
+            if v not in dist:
+                heapq.heappush(heap, (d + cost, first or v, v))
     return dist, hop
 
 
@@ -114,10 +109,7 @@ class CostTable:
             return cached
         best_d, best_j = INFINITY, None
         for j in self.neighbors:
-            dj = self.vectors.get(j, {}).get(dst, INFINITY)
-            if dj is INFINITY:
-                continue
-            d = self.link_cost[j] + dj
+            d = self.link_cost[j] + self.vectors.get(j, {}).get(dst, INFINITY)
             if d < best_d:
                 best_d, best_j = d, j
         cached = self._cache[dst] = best_d, best_j

@@ -71,10 +71,14 @@ class TrafficSpec:
         if self.fixed_pairs is not None:
             if not isinstance(self.fixed_pairs, (list, tuple)):
                 raise ValueError(f"fixed_pairs: {self.fixed_pairs!r} must be a list of pairs")
+            seen = set()
             for pair in self.fixed_pairs:
                 _check_node_list("fixed_pairs", pair)
                 if len(pair) != 2:
                     raise ValueError(f"fixed_pairs: {pair!r} must be a pair of node ids")
+                if tuple(pair) in seen:  # a second session would double the pair's load
+                    raise ValueError(f"fixed_pairs: {pair!r} is named twice")
+                seen.add(tuple(pair))
             if not self.fixed_pairs:
                 raise ValueError("fixed_pairs: must name at least one pair")
             if self.temporal != "F":

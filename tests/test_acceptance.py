@@ -185,7 +185,7 @@ def test_acceptance_6_oracle_equivalence():
             adjacency[b].append((a, c))
         tables = converge_distance_vectors(adjacency, n)
         for src in range(1, n + 1):
-            dist, _ = dijkstra(n, adjacency, src)
+            dist, _ = dijkstra(adjacency, src)
             for dst in range(1, n + 1):
                 if tables[src].best(dst)[0] != dist[dst]:
                     bf_ok = False

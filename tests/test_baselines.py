@@ -498,7 +498,7 @@ def daemon_reference(algo, node, packet):
         u: [(l.dst, algo.link_cost(l, packet.size)) for l in topo.out_links[u]]
         for u in topo.nodes
     }
-    _, hop = dijkstra(topo.n_nodes, adjacency, node)
+    _, hop = dijkstra(adjacency, node)
     return hop[packet.dst], mean_state(net)
 
 

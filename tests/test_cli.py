@@ -505,6 +505,9 @@ TMPHS_TRAFFIC = dict(
         pytest.param("traffic: fixed_pairs",
                      {"traffic": dict(SMALL_TRAFFIC, temporal="F", fixed_pairs=[])}, None, RUN,
                      id="fixed_pairs_empty"),
+        pytest.param("traffic: fixed_pairs",
+                     {"traffic": dict(SMALL_TRAFFIC, temporal="F", fixed_pairs=[[1, 6], [1, 6]])},
+                     None, RUN, id="fixed_pair_repeated"),
         pytest.param("traffic: hot_spot_nodes",
                      {"traffic": dict(SMALL_TRAFFIC, hot_spot_nodes=[4])}, None, RUN,
                      id="hot_spot_nodes_without_hs_count"),

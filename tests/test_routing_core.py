@@ -41,23 +41,23 @@ def unit_adjacency(topo):
 
 def test_dijkstra_simplenet_unit_costs():
     topo = builtin_topology("simplenet")
-    dist, hop = dijkstra(8, unit_adjacency(topo), 1)
+    dist, hop = dijkstra(unit_adjacency(topo), 1)
     assert dist[6] == 3.0
     assert hop[6] == 3  # 3-hop tie between first hops 3 and 8 resolves to 3
-    assert dist[1] == 0.0 and hop[1] is None
+    assert dist[1] == 0.0 and 1 not in hop
 
 
-def test_dijkstra_unreachable_is_infinite():
+def test_dijkstra_leaves_unreachable_nodes_out():
     adjacency = {1: [(2, 1.0)], 2: [(1, 1.0)], 3: [(4, 1.0)], 4: [(3, 1.0)]}
-    dist, hop = dijkstra(4, adjacency, 1)
-    assert dist[3] == INFINITY and hop[3] is None
-    assert dist[4] == INFINITY and hop[4] is None
+    dist, hop = dijkstra(adjacency, 1)
+    assert dist == {1: 0.0, 2: 1.0}
+    assert hop == {2: 2}
 
 
 @pytest.mark.parametrize("cost", [-1.0, -1e-300, math.nan])
 def test_dijkstra_rejects_negative_and_nan_costs(cost):
     with pytest.raises(ValueError, match="negative or NaN cost on link 1->2"):
-        dijkstra(2, {1: [(2, cost)], 2: [(1, 1.0)]}, 1)
+        dijkstra({1: [(2, cost)], 2: [(1, 1.0)]}, 1)
 
 
 def test_dijkstra_admits_zero_cost_links():
@@ -70,15 +70,15 @@ def test_dijkstra_admits_zero_cost_links():
         4: [(5, 0.0)],
         5: [],
     }
-    dist, hop = dijkstra(5, adjacency, 1)
+    dist, hop = dijkstra(adjacency, 1)
     assert dist == {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.5, 5: 0.0}
-    assert hop == {1: None, 2: 2, 3: 3, 4: 2, 5: 2}
+    assert hop == {2: 2, 3: 3, 4: 2, 5: 2}
 
 
 def test_dijkstra_weighted_first_hop():
     # 1->3 direct costs 10; the detour via 2 costs 3
     adjacency = {1: [(2, 1.0), (3, 10.0)], 2: [(1, 1.0), (3, 2.0)], 3: []}
-    dist, hop = dijkstra(3, adjacency, 1)
+    dist, hop = dijkstra(adjacency, 1)
     assert dist[3] == 3.0
     assert hop[3] == 2
 
@@ -123,7 +123,7 @@ def test_bellman_ford_matches_dijkstra_on_random_graphs():
         adjacency, _ = random_connected_graph(rng, n)
         tables = converge_distance_vectors(adjacency, n)
         for src in range(1, n + 1):
-            dist, _ = dijkstra(n, adjacency, src)
+            dist, _ = dijkstra(adjacency, src)
             for dst in range(1, n + 1):
                 d_bf, _ = tables[src].best(dst)
                 assert math.isclose(d_bf, dist[dst], rel_tol=1e-9, abs_tol=1e-12)

@@ -78,6 +78,8 @@ def test_spec_validation():
         ("hot_spot_nodes", dict(temporal="F", hot_spot_nodes=[4])),
         # F with no pair would open no session and carry no data
         ("fixed_pairs", dict(temporal="F", fixed_pairs=[])),
+        # a second session for one pair would double its load; (1, 6) and [1, 6] are one pair
+        ("fixed_pairs", dict(temporal="F", fixed_pairs=[(1, 6), [1, 6]])),
         ("hs_count", dict(window, hs_count=0, hot_spot_nodes=[4])),
         ("hot_spot_nodes", dict(hs_count=1, hot_spot_nodes=[4, 5])),
         # P and F read no offsets
@@ -99,7 +101,7 @@ def test_hot_spot_count_must_be_below_node_count():
 @pytest.mark.parametrize("pair", [(1, 99), (3, 3), (1, 2, 3), (0, 1)])
 def test_fixed_pairs_must_name_two_distinct_nodes(pair):
     simplenet = builtin_topology("simplenet")
-    TrafficSpec(temporal="F", fixed_pairs=[(1, 6)]).check_topology(simplenet)
+    TrafficSpec(temporal="F", fixed_pairs=[(1, 6), (6, 1)]).check_topology(simplenet)
     with pytest.raises(ValueError, match="fixed_pairs"):
         TrafficSpec(temporal="F", fixed_pairs=[(1, 6), pair]).check_topology(simplenet)
 
