@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter, defaultdict
-from itertools import islice
+from collections import defaultdict
 from typing import Dict, List, Optional
 
 
@@ -95,17 +94,23 @@ class MetricsCollector:
         }
 
     def windowed_series(self, run_end: float) -> List[dict]:
-        """Throughput / mean delay / offered load averaged per window."""
-        n = max(1, math.ceil((run_end - self.t_start) / self.window_s))
+        """Throughput / mean delay / offered load averaged per window. A last
+        window cut short by the run end is averaged over the span it covers,
+        ``run_end`` minus its start, and stamped ``run_end``."""
         rows = []
-        for i in range(n):
+        for i in range(math.ceil((run_end - self.t_start) / self.window_s)):
             bits, dsum, dcnt, gen = self._windows.get(i, [0.0, 0.0, 0, 0.0])
+            end = self.t_start + (i + 1) * self.window_s
+            span = self.window_s
+            if end > run_end:
+                end = run_end
+                span = run_end - (self.t_start + i * self.window_s)
             rows.append(
                 {
-                    "time_s": self.t_start + (i + 1) * self.window_s,
-                    "throughput_bps": bits / self.window_s,
+                    "time_s": end,
+                    "throughput_bps": bits / span,
                     "mean_delay_s": dsum / dcnt if dcnt else None,
-                    "offered_bps": gen / self.window_s,
+                    "offered_bps": gen / span,
                 }
             )
         return rows
@@ -121,19 +126,34 @@ def nearest_rank(ordered: List[float], p: float) -> Optional[float]:
 
 def log_histogram(ordered: List[float], n_bins: int = 24) -> dict:
     """Counts of a sorted delay sample over ``n_bins`` log-spaced bins from
-    0.1 ms to 100 s, with an underflow and an overflow count at the ends."""
+    0.1 ms to 100 s, with an underflow count below 0.1 ms and an overflow
+    count from 100 s up.
+
+    A sample ``d`` in range falls in bin ``bin_of(d)``, or in the top bin
+    when that is ``n_bins`` or more. ``bin_of`` is a chain of steps that
+    never decrease as ``d`` grows: division by ``lo``, ``math.log``,
+    multiplication by ``n_bins``, division by ``log(hi / lo)`` and ``int``.
+    So over the sorted sample the bins never decrease either, and each bin's
+    samples form one run whose start one bisection on ``bin_of`` finds. The
+    counts equal those of binning every sample, at ``n_bins - 1`` bisections
+    instead of one log per sample.
+    """
     lo, hi = 1e-4, 1e2
     edges = [lo * (hi / lo) ** (i / n_bins) for i in range(n_bins + 1)]
-    first = bisect_left(ordered, lo)  # samples below lo
+    log_span = math.log(hi / lo)
+
+    def bin_of(d: float) -> int:
+        return int(n_bins * math.log(d / lo) / log_span)
+
+    first = bisect_left(ordered, lo)  # samples below lo underflow
     end = bisect_left(ordered, hi)  # samples from hi up overflow
-    counts = [0] * (n_bins + 2)  # underflow + bins + overflow
-    counts[0] = first
-    counts[-1] = len(ordered) - end
-    # int(n_bins * math.log(d / lo) / math.log(hi / lo)) for each in-range d
-    logs = map(math.log, map(lo.__rtruediv__, islice(ordered, first, end)))
-    bins = map(int, map(math.log(hi / lo).__rtruediv__, map(float(n_bins).__mul__, logs)))
-    for i, count in Counter(bins).items():
-        counts[1 + min(i, n_bins - 1)] += count
+    counts = [first]
+    at = first  # where the run of bin i - 1 starts
+    for i in range(1, n_bins):
+        start = bisect_left(ordered, i, at, end, key=bin_of)
+        counts.append(start - at)
+        at = start
+    counts += [end - at, len(ordered) - end]  # the top bin takes every bin_of >= n_bins - 1
     return {"bin_edges_s": edges, "counts": counts}
 
 

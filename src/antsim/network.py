@@ -10,7 +10,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from antsim.engine import Simulator
 from antsim.metrics import MetricsCollector
-from antsim.routing import LinkCostEstimator, RoutingAlgorithm
+from antsim.routing import INFINITY, LinkCostEstimator, RoutingAlgorithm
 from antsim.topology import Link, Topology
 
 DATA = "data"
@@ -33,8 +33,8 @@ class Packet:
     )
 
     def __init__(self, kind, size, src, dst, created_at, payload=None):
-        if size <= 0:
-            raise ValueError("packet size must be positive")
+        if not 0 < size < INFINITY:  # false for NaN too
+            raise ValueError("packet size must be positive and finite")
         self.kind = kind
         self.size = size
         self.src = src

@@ -1,8 +1,14 @@
 import json
 import math
 import random
+import types
 from collections import defaultdict
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from antsim import metrics
+from antsim.cli import ExperimentConfig, run_trial
 from antsim.metrics import MetricsCollector, log_histogram, nearest_rank, power
 
 
@@ -84,6 +90,43 @@ def test_windowed_series():
     assert rows[0]["mean_delay_s"] == 0.5
     assert rows[1]["throughput_bps"] == 2000.0
     assert rows[1]["mean_delay_s"] == 1.5
+
+
+def test_windowed_series_averages_a_partial_last_window_over_its_span():
+    # a 3+6 s run: the second window covers 8 s to 9 s only
+    m = MetricsCollector(t_start=3.0, t_end=9.0)
+    m.on_generated(4.0, "data", 5000)
+    m.on_delivered(4.0, "data", 5000, 0.5)
+    m.on_generated(8.5, "data", 3000)
+    m.on_delivered(8.5, "data", 2000, 0.25)
+    m.on_delivered(9.0, "data", 1000, 0.75)  # at the run end
+    rows = m.windowed_series(9.0)
+    assert [r["time_s"] for r in rows] == [8.0, 9.0]
+    assert rows[0]["throughput_bps"] == 1000.0
+    assert rows[0]["offered_bps"] == 1000.0
+    assert rows[1]["throughput_bps"] == 3000.0  # its bits over 1 s
+    assert rows[1]["offered_bps"] == 3000.0
+    assert rows[1]["mean_delay_s"] == 0.5
+
+
+def test_trial_series_covers_the_run_and_its_delivered_bits():
+    cfg = ExperimentConfig(
+        topology="nsfnet",
+        algorithm="spf",
+        traffic={"temporal": "P", "spatial": "U", "stream": "GVBR", "msia_s": 1.0},
+        warmup_s=3.0,
+        run_length_s=6.0,
+        trials=1,
+        master_seed=7,
+    )
+    summary, rows = run_trial(cfg, 0)
+    assert [r["time_s"] for r in rows] == [8.0, 9.0]
+    spans = [5.0, 1.0]
+    bits = [r["throughput_bps"] * span for r, span in zip(rows, spans)]
+    assert min(bits) > 0
+    assert math.isclose(bits[0] + bits[1], summary["delivered_data_bits"], rel_tol=1e-12)
+    # the partial row reads a rate near the run's, not a fifth of it
+    assert 0.5 < rows[1]["throughput_bps"] / summary["throughput_bps"] < 2.0
 
 
 def test_empty_window_mean_delay_is_none():
@@ -176,6 +219,54 @@ def test_sorted_readouts_match_per_call_oracles():
         assert s["delay_histogram"] == histogram_per_sample(samples)
         assert s["delay_mean_s"] == (sum(samples) / len(samples) if samples else None)
         assert m.delay_samples == samples  # the readouts leave the sample's order alone
+
+
+LO, HI = 1e-4, 1e2
+# lo, hi and every bin edge for 1 to 40 bins, each with its two float neighbours
+EDGE_DELAYS = sorted(
+    {
+        x
+        for n in range(1, 41)
+        for e in histogram_per_sample([], n)["bin_edges_s"]
+        for x in (e, math.nextafter(e, 0.0), math.nextafter(e, math.inf))
+    }
+)
+DELAYS = st.one_of(
+    st.just(0.0),
+    st.floats(5e-324, 2.2250738585072009e-308),  # subnormals
+    st.sampled_from(EDGE_DELAYS),
+    st.floats(LO, HI),
+    st.floats(5e-324, 1e-6) | st.floats(1e4, 1.7e308),  # far outside
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(xs=st.lists(DELAYS, max_size=200), n_bins=st.integers(1, 40))
+def test_log_histogram_matches_per_sample_binning(xs, n_bins):
+    assert log_histogram(sorted(xs), n_bins) == histogram_per_sample(xs, n_bins)
+
+
+def test_log_histogram_takes_logs_per_bin_not_per_sample(monkeypatch):
+    rng = random.Random("histogram-logs")
+    n = 100_000
+    ordered = sorted(10 ** rng.uniform(-5.0, 3.0) for _ in range(n))
+    for n_bins in (1, 24, 40):
+        want = histogram_per_sample(ordered, n_bins)
+        logs = 0
+
+        def counted_log(x):
+            nonlocal logs
+            logs += 1
+            return math.log(x)
+
+        patched = types.SimpleNamespace(**vars(math))
+        patched.log = counted_log
+        monkeypatch.setattr(metrics, "math", patched)
+        got = log_histogram(ordered, n_bins)
+        monkeypatch.undo()
+        assert got == want
+        assert sum(want["counts"][1:-1]) > 0.7 * n
+        assert logs <= n_bins * (math.ceil(math.log2(n)) + 2), (n_bins, logs)
 
 
 def test_routing_bits_before_measurement_ignored():

@@ -398,6 +398,16 @@ def test_packet_size_must_be_positive():
         Packet(DATA, 0, 1, 2, 0.0)
 
 
+@pytest.mark.parametrize("size", [-1, -0.0, math.nan, math.inf, -math.inf])
+def test_packet_size_must_be_finite(size):
+    # a NaN size compares False with everything, and an infinite one would
+    # keep its port busy for ever
+    with pytest.raises(ValueError):
+        Packet(DATA, size, 1, 2, 0.0)
+    assert Packet(DATA, 5e-324, 1, 2, 0.0).size == 5e-324
+    assert Packet(DATA, 1.7e308, 1, 2, 0.0).size == 1.7e308
+
+
 def test_session_draws_each_packet_and_stops_after_packets_remaining():
     sim, net, metrics = two_node_net()
     gen = []
