@@ -96,15 +96,20 @@ class MetricsCollector:
     def windowed_series(self, run_end: float) -> List[dict]:
         """Throughput / mean delay / offered load averaged per window. A last
         window cut short by the run end is averaged over the span it covers,
-        ``run_end`` minus its start, and stamped ``run_end``."""
+        ``run_end`` minus its start, and stamped ``run_end``. The rounded
+        window count can add one window that starts at ``run_end``; it covers
+        nothing and gets no row."""
         rows = []
         for i in range(math.ceil((run_end - self.t_start) / self.window_s)):
+            start = self.t_start + i * self.window_s
+            if start >= run_end:
+                break
             bits, dsum, dcnt, gen = self._windows.get(i, [0.0, 0.0, 0, 0.0])
             end = self.t_start + (i + 1) * self.window_s
             span = self.window_s
             if end > run_end:
                 end = run_end
-                span = run_end - (self.t_start + i * self.window_s)
+                span = run_end - start
             rows.append(
                 {
                     "time_s": end,

@@ -109,6 +109,34 @@ def test_windowed_series_averages_a_partial_last_window_over_its_span():
     assert rows[1]["mean_delay_s"] == 0.5
 
 
+def test_windowed_series_gives_no_row_to_a_window_starting_at_the_run_end():
+    # (1.1 + 15.0 - 1.1) / 5 rounds to just above 3, so the window count
+    # rounds up to 4; the fourth window starts at the run end itself
+    run_end = 1.1 + 15.0
+    m = MetricsCollector(t_start=1.1, t_end=run_end)
+    m.on_delivered(12.0, "data", 5000, 0.5)
+    rows = m.windowed_series(run_end)
+    assert [r["time_s"] for r in rows] == [6.1, 11.1, run_end]
+    assert rows[2]["throughput_bps"] == 1000.0
+    assert rows[2]["offered_bps"] == 0.0
+
+
+def test_trial_with_a_window_starting_at_the_run_end_completes():
+    cfg = ExperimentConfig(
+        topology="nsfnet",
+        algorithm="spf",
+        traffic={"temporal": "P", "spatial": "U", "stream": "GVBR", "msia_s": 1.0},
+        warmup_s=1.1,
+        run_length_s=15.0,
+        trials=1,
+        master_seed=7,
+    )
+    summary, rows = run_trial(cfg, 0)
+    assert len(rows) == 3
+    assert rows[-1]["time_s"] == 1.1 + 15.0
+    assert all(math.isfinite(r["throughput_bps"]) for r in rows)
+
+
 def test_trial_series_covers_the_run_and_its_delivered_bits():
     cfg = ExperimentConfig(
         topology="nsfnet",
