@@ -210,11 +210,14 @@ class QRouting(RoutingAlgorithm):
     ``max(best, q + rate * (now - last))``, ranked by ``(predicted, id)``.
     Improving feedback moves the rate by the fixed ``recovery_learning``
     times the entry's slope, and other feedback scales it by the fixed
-    ``recovery_decay``, so it never becomes positive; the clamp to
-    ``rate <= 0`` changes only a rate set from outside. Q-routing keeps
+    ``recovery_decay``, so it never becomes positive. Q-routing keeps
     ``recovery_learning`` at 0.0: every rate stays +0.0, ``best <= q``
     holds since ``_apply_feedback`` lowers ``best`` with ``q``, and
-    forwarding is the plain arg min of the estimates."""
+    forwarding is the plain arg min of the estimates.
+
+    ``on_data_arrival`` times the hop from ``packet.node_arrival`` (its
+    creation time at the first hop), then stamps it with the arrival time:
+    the learner is that clock's one reader, so it keeps the clock itself."""
 
     name = "qr"
     elab_s = 0.003
@@ -260,8 +263,10 @@ class QRouting(RoutingAlgorithm):
         # lists compare by their first differing item: the least record has the least q
         to_go = 0.0 if node == dst else min(self.q[node][dst].values())[0]
         net = self.net
-        hop_time = net.sim.now - packet.node_arrival - net.ports[(from_node, node)].prop_delay_s
+        now = net.sim.now
+        hop_time = now - packet.node_arrival - net.ports[(from_node, node)].prop_delay_s
         net.send_routing(node, from_node, FEEDBACK_BITS, ("qfb", dst, to_go + hop_time))
+        packet.node_arrival = now
 
     def on_routing_packet(self, node: int, packet: Packet, from_node: int) -> None:
         payload = packet.payload  # ("qfb", dst, q_new)
@@ -285,8 +290,6 @@ class QRouting(RoutingAlgorithm):
             rate += self.recovery_learning * (delta / dt)
         else:
             rate *= self.recovery_decay
-        if rate > 0.0:
-            rate = 0.0
         record[:] = q, best, rate, now
 
 

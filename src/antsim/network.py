@@ -41,8 +41,8 @@ class Packet:
         self.dst = dst
         self.created_at = created_at
         self.payload = payload
-        self.prev_node = None  # node this packet last arrived from
-        self.node_arrival = created_at  # arrival time at the current node, set by _arrive
+        self.prev_node = None  # for data dispatched at another node: the node it came from
+        self.node_arrival = created_at  # Q-routing's hop clock, stamped by on_data_arrival
         self.port_enqueue = created_at
 
 
@@ -117,6 +117,9 @@ class Network:
     their elaboration at the same time; folded, they would reach ``on_ant``
     in the order their transmissions ended, not the order they arrived,
     which changes AntNet's draws.
+
+    The network sets ``prev_node`` only on data it dispatches past its
+    source, for AntNet; qr and pqr stamp their own hop clock.
 
     ``out_ports[u]`` lists u's ports in ascending neighbour-id order, the
     order of ``topo.out_links[u]`` and ``topo.neighbors(u)``.
@@ -209,19 +212,18 @@ class Network:
                 continue
             break
         port.busy = True
-        tx_time = size / port.bandwidth_bps
         if packet.kind != DATA:
             self.metrics.on_routing_tx(now, size)
-        self.sim.schedule(now + tx_time, self._tx_done, port, packet, tx_time)
+        self.sim.schedule(now + size / port.bandwidth_bps, self._tx_done, port, packet)
 
-    def _tx_done(self, port: Port, packet: Packet, tx_time: float) -> None:
+    def _tx_done(self, port: Port, packet: Packet) -> None:
         now = self.sim.now
         port.busy = False
         self.buffer_used[port.src] -= packet.size  # last bit has left the node
         if port.monitor is not None and packet.kind == DATA:
             # only data traffic feeds the utilization monitor; an abandoned
             # link keeps its last cost instead of decaying on idle chatter
-            port.monitor.record(now - packet.port_enqueue, tx_time)
+            port.monitor.record(now - packet.port_enqueue, packet.size / port.bandwidth_bps)
         t_arr = now + port.prop_delay_s
         if (
             not self._arrival_hook
@@ -252,28 +254,22 @@ class Network:
     def _arrive(self, port: Port, packet: Packet) -> None:
         now = self.sim.now
         node = port.dst
-        from_node = port.src
-        packet.prev_node = from_node
-        kind = packet.kind
         if now - packet.created_at > self.ttl_s:
             # data and ants past their TTL are dropped before the algorithm sees
             # them, so no feedback goes back for an expired data packet
-            self.metrics.on_dropped("ttl", kind)
+            self.metrics.on_dropped("ttl", packet.kind)
             return
-        if kind == DATA:
-            if self._arrival_hook:
-                # hook runs while node_arrival still refers to the previous node,
-                # so per-hop residence time is measurable (feedback-based routing)
-                self.algorithm.on_data_arrival(node, packet, from_node)
-            packet.node_arrival = now
-            if node == packet.dst:
-                self.metrics.on_delivered(now, DATA, packet.size, now - packet.created_at)
-            else:
-                self.sim.schedule(now + self.node_service_s, self.dispatch, node, packet)
-            return
-        packet.node_arrival = now
         algo = self.algorithm
-        self.sim.schedule(now + algo.elab_s, algo.on_ant, node, packet, from_node)
+        if packet.kind != DATA:
+            self.sim.schedule(now + algo.elab_s, algo.on_ant, node, packet, port.src)
+            return
+        if self._arrival_hook:
+            algo.on_data_arrival(node, packet, port.src)
+        if node == packet.dst:
+            self.metrics.on_delivered(now, DATA, packet.size, now - packet.created_at)
+        else:
+            packet.prev_node = port.src
+            self.sim.schedule(now + self.node_service_s, self.dispatch, node, packet)
 
     def dispatch(self, node: int, packet: Packet) -> None:
         """Route a data packet out of ``node`` after its service delay."""

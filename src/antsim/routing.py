@@ -96,8 +96,8 @@ class CostTable:
             self._cache.clear()
 
     def merge(self, neighbor: int, vector: Dict[int, float]) -> None:
-        """Overwrite the stored vector for ``neighbor`` with received values."""
-        self.vectors[neighbor] = dict(vector)
+        """Store ``vector`` as ``neighbor``'s distances; the table only reads it."""
+        self.vectors[neighbor] = vector
         self._cache.clear()
 
     def best(self, dst: int) -> Tuple[float, Optional[int]]:

@@ -433,10 +433,6 @@ def test_pqr_matches_reference():
             level = max(record[0] for record in new.q[node][dst].values())
             for n in new.q[node][dst]:
                 new.q[node][dst][n][0] = ref.q[node][dst][n] = level
-        if step % 7 == 3:
-            # a positive rate exercises the clamp on whichever branch runs
-            rate = rng.uniform(0.0, 1.0)
-            new.q[node][dst][via][2] = ref.recovery[(node, dst, via)] = rate
         kind = rng.choice(("improve", "worsen", "equal"))
         factor = {"improve": rng.uniform(0.1, 1.0), "worsen": rng.uniform(1.0, 3.0), "equal": 1.0}
         q_new = new.q[node][dst][via][0] * factor[kind]

@@ -189,10 +189,10 @@ def record_routing_arrivals(monkeypatch):
     arrivals = []
     tx_done = Network._tx_done
 
-    def recording(net, port, packet, tx_time):
+    def recording(net, port, packet):
         if packet.kind == ROUTING_INFO:
             arrivals.append(net.sim.now + port.prop_delay_s)
-        tx_done(net, port, packet, tx_time)
+        tx_done(net, port, packet)
 
     monkeypatch.setattr(Network, "_tx_done", recording)
     return arrivals

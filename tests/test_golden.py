@@ -84,6 +84,10 @@ CASES = {
     "simplenet-fixed": ("simplenet", FIXED_TRAFFIC, 6.0, ["antnet", "qr"], {}),
     "simplenet-ttl": ("simplenet", OVERLOAD_TRAFFIC, 4.0, sorted(ALGORITHMS), {}),
 }
+# (case, algorithm) per entry of golden_digests.json
+ENTRIES = [
+    (case, algorithm) for case, (*_, algorithms, _) in CASES.items() for algorithm in algorithms
+]
 
 
 ALGORITHM_HOOKS = ("select_next_hop", "on_data_arrival", "on_routing_packet", "on_ant")
@@ -175,11 +179,13 @@ def golden_digests(case: str, algorithm: str, out_dir: str) -> dict:
     return digests
 
 
-@pytest.mark.parametrize(
-    "case,algorithm",
-    [(case, algorithm) for case, (*_, algorithms, _) in CASES.items() for algorithm in algorithms],
-    ids=lambda value: value,
-)
+def test_digest_file_holds_exactly_the_entries_of_cases():
+    with open(DIGESTS_PATH) as fh:
+        recorded = json.load(fh)
+    assert sorted(recorded) == sorted(f"{case}/{algorithm}" for case, algorithm in ENTRIES)
+
+
+@pytest.mark.parametrize("case,algorithm", ENTRIES, ids=lambda value: value)
 def test_golden_outputs_unchanged(tmp_path, case, algorithm):
     with open(DIGESTS_PATH) as fh:
         recorded = json.load(fh)[f"{case}/{algorithm}"]
@@ -192,10 +198,9 @@ if __name__ == "__main__":
     with open(DIGESTS_PATH) as fh:
         recorded = json.load(fh)
     table = {}
-    for case, (*_, algorithms, _) in CASES.items():
-        for algorithm in algorithms:
-            with tempfile.TemporaryDirectory() as out_dir:
-                table[f"{case}/{algorithm}"] = golden_digests(case, algorithm, out_dir)
+    for case, algorithm in ENTRIES:
+        with tempfile.TemporaryDirectory() as out_dir:
+            table[f"{case}/{algorithm}"] = golden_digests(case, algorithm, out_dir)
     for entry, digests in table.items():
         old = recorded.get(entry, {})
         moved = [name for name, digest in digests.items() if old.get(name) != digest]

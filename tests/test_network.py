@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from antsim.baselines import QueueMean
+from antsim.baselines import FEEDBACK_BITS, QRouting, QueueMean
 from antsim.cli import ALGORITHMS
 from antsim.engine import Simulator
 from antsim.metrics import MetricsCollector
@@ -298,12 +298,19 @@ def test_ant_expiring_on_the_link_is_dropped_at_arrival():
     assert seen == [] and len(drops) == 1
 
 
-def test_ants_reach_on_ant_in_arrival_order_when_elaboration_ends_together():
+def test_ants_reach_on_ant_in_arrival_order_when_elaboration_ends_together(monkeypatch):
     class AntSink(Onward):
         def on_ant(self, node, packet, from_node):
-            seen.append((self.net.sim.now, packet.src, from_node, packet.node_arrival))
+            seen.append((self.net.sim.now, packet.src, from_node, arrived[packet]))
 
-    seen = []
+    seen, arrived = [], {}
+    arrive = Network._arrive
+
+    def recording(net, port, packet):
+        arrived[packet] = net.sim.now
+        arrive(net, port, packet)
+
+    monkeypatch.setattr(Network, "_arrive", recording)
     # ant b leaves node 3 first, over the slower link; ant a leaves node 1
     # later and reaches node 2 one rounding step earlier
     sim, net, _ = line_net(3, delay=[0.004, 0.01], algo=AntSink())
@@ -332,18 +339,29 @@ def test_transit_costs_one_event_per_node_visit():
     assert len(delivered) == 1 and abs(delivered[0] - expected) < 1e-12
 
 
-def test_on_data_arrival_runs_at_arrival_before_node_arrival_moves():
-    class Watcher(Onward):
-        def on_data_arrival(self, node, packet, from_node):
-            seen.append((self.net.sim.now, node, from_node, packet.node_arrival))
-
-    seen = []
-    sim, net, _ = line_net(3, algo=Watcher())
+def test_qr_times_each_hop_from_the_arrival_it_stamped():
+    sim, net, _ = line_net(3, algo=QRouting())
+    to_go = min(record[0] for record in net.algorithm.q[2][3].values())
+    sent = []
+    net.send_routing = lambda *args: sent.append((sim.now, *args))
+    # b waits behind a at node 1, and again at node 2, as it is shorter
     net.inject_data(1, 3, 4096)
+    net.inject_data(1, 3, 2048)
     sim.run_until(1.0)
-    t_arr2 = (0.0 + Network.node_service_s + TX_4096) + 0.004
-    t_arr3 = (t_arr2 + Network.node_service_s + TX_4096) + 0.004
-    assert seen == [(t_arr2, 2, 1, 0.0), (t_arr3, 3, 2, t_arr2)]
+    s, tx_b, d = Network.node_service_s, 2048 / 1.5e6, 0.004
+    a2 = ((0.0 + s) + TX_4096) + d
+    b2 = (((0.0 + s) + TX_4096) + tx_b) + d
+    a3 = ((a2 + s) + TX_4096) + d
+    b3 = (((a2 + s) + TX_4096) + tx_b) + d
+    # each hop's time is its service, queueing and transmission: the time
+    # since the packet reached the sending node (its creation at node 1)
+    # less the propagation delay
+    assert sent == [
+        (a2, 2, 1, FEEDBACK_BITS, ("qfb", 3, to_go + (a2 - 0.0 - d))),
+        (b2, 2, 1, FEEDBACK_BITS, ("qfb", 3, to_go + (b2 - 0.0 - d))),
+        (a3, 3, 2, FEEDBACK_BITS, ("qfb", 3, 0.0 + (a3 - a2 - d))),
+        (b3, 3, 2, FEEDBACK_BITS, ("qfb", 3, 0.0 + (b3 - b2 - d))),
+    ]
 
 
 def test_base_on_data_arrival_is_never_called(monkeypatch):
